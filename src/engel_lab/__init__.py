@@ -15,6 +15,7 @@ from .engel import (
     EngelVerdict,
     co_engel_graph,
     directed_engel_graph,
+    engel_relation,
     engel_verdict,
     left_engel_set,
     left_engel_subgroup,

@@ -17,7 +17,6 @@ from typing import Optional
 
 from . import SCHEMA, engel, topology
 from .analysis import CLIQUE_VERTEX_LIMIT, clique_number, is_planar, recognize_complete_multipartite
-from .cache import cache_dir_from_env
 from .groups import FiniteGroup, hypercenter, is_nilpotent, is_soluble
 from .spectra import spectrum_report
 from .specs import GroupSpecError, build_group, parse_group_spec
@@ -30,9 +29,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _build_or_exit(spec_text: str, cache_dir: Optional[str]) -> FiniteGroup:
+def _build_or_exit(spec_text: str) -> FiniteGroup:
     try:
-        return build_group(parse_group_spec(spec_text), cache_dir=cache_dir)
+        return build_group(parse_group_spec(spec_text))
     except GroupSpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from exc
@@ -45,7 +44,7 @@ def _skip_doc(spec_text: str, reason: str) -> str:
 
 
 def cmd_group(args) -> int:
-    g = _build_or_exit(args.spec, args.cache_dir)
+    g = _build_or_exit(args.spec)
     if args.max_order is not None and g.order > args.max_order:
         sys.stdout.write(_skip_doc(args.spec, f"order {g.order} exceeds --max-order {args.max_order}"))
         return 0
@@ -75,7 +74,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    g = _build_or_exit(args.spec, args.cache_dir)
+    g = _build_or_exit(args.spec)
     if args.max_order is not None and g.order > args.max_order:
         sys.stdout.write(_skip_doc(args.spec, f"order {g.order} exceeds --max-order {args.max_order}"))
         return 0
@@ -97,7 +96,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _build_or_exit(args.spec, args.cache_dir)
+    g = _build_or_exit(args.spec)
     if args.max_order is not None and g.order > args.max_order:
         sys.stdout.write(_skip_doc(args.spec, f"order {g.order} exceeds --max-order {args.max_order}"))
         return 0
@@ -199,11 +198,6 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="engel-lab",
         description="Engel-commutator laboratory for finite groups.",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=cache_dir_from_env(),
-        help="multiplication-table cache directory (default: $ENGEL_LAB_CACHE)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

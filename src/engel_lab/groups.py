@@ -190,7 +190,8 @@ def from_table(
     generators: Sequence[tuple[str, int]] = (),
     label: str = "group",
 ) -> FiniteGroup:
-    """Wrap a raw multiplication table (used by the cache loader)."""
+    """Wrap a raw multiplication table; identity and inverses are found from
+    it, and names default to the indices."""
     order = len(rows)
     if names is None:
         names = tuple(str(i) for i in range(order))
@@ -201,20 +202,14 @@ def from_table(
 # builders
 
 
-def cyclic_metadata(n: int):
-    """(element names, generators, label) for C_n, without table work."""
+def build_cyclic(n: int) -> FiniteGroup:
+    """Z/nZ written multiplicatively: elements e, g, g^2, ..."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     gens = [("g", 1 % n)] if n > 1 else []
-    return names, gens, f"C{n}"
-
-
-def build_cyclic(n: int) -> FiniteGroup:
-    """Z/nZ written multiplicatively: elements e, g, g^2, ..."""
-    names, gens, label = cyclic_metadata(n)
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _finalize(n, rows, names, gens, label)
+    return _finalize(n, rows, names, gens, f"C{n}")
 
 
 def _power_name(base: str, i: int) -> str:
@@ -225,13 +220,10 @@ def _power_name(base: str, i: int) -> str:
     return f"{base}^{i}"
 
 
-def dihedral_metadata(two_n: int):
-    if two_n < 4 or two_n % 2:
-        raise ValueError(f"dihedral order must be even and >= 4, got {two_n}")
-    n = two_n // 2
-    names = [_power_name("y", i) for i in range(n)]
-    names += ["x" if i == 0 else f"x*{_power_name('y', i)}" for i in range(n)]
-    return names, [("x", n), ("y", 1)], f"D_{two_n}"
+def _rotation_reflection_names(half: int) -> list[str]:
+    """y^0..y^(half-1), then x*y^0..x*y^(half-1)."""
+    names = [_power_name("y", i) for i in range(half)]
+    return names + ["x" if i == 0 else f"x*{_power_name('y', i)}" for i in range(half)]
 
 
 def build_dihedral(two_n: int) -> FiniteGroup:
@@ -239,7 +231,8 @@ def build_dihedral(two_n: int) -> FiniteGroup:
 
     Elements are enumerated as y^0..y^(n-1), then x*y^0..x*y^(n-1).
     """
-    names, gens, label = dihedral_metadata(two_n)
+    if two_n < 4 or two_n % 2:
+        raise ValueError(f"dihedral order must be even and >= 4, got {two_n}")
     n = two_n // 2
 
     def mul(u, v):
@@ -249,18 +242,9 @@ def build_dihedral(two_n: int) -> FiniteGroup:
         return ((r1 ^ r2) * n + rot)
 
     rows = [[mul(u, v) for v in range(two_n)] for u in range(two_n)]
-    return _finalize(two_n, rows, names, gens, label)
-
-
-def quaternion_metadata(four_n: int):
-    if four_n < 8 or four_n % 4:
-        raise ValueError(
-            f"generalized quaternion order must be a multiple of 4 and >= 8, got {four_n}"
-        )
-    half = four_n // 2
-    names = [_power_name("y", i) for i in range(half)]
-    names += ["x" if i == 0 else f"x*{_power_name('y', i)}" for i in range(half)]
-    return names, [("x", half), ("y", 1)], f"Q_{four_n}"
+    return _finalize(
+        two_n, rows, _rotation_reflection_names(n), [("x", n), ("y", 1)], f"D_{two_n}"
+    )
 
 
 def build_generalized_quaternion(four_n: int) -> FiniteGroup:
@@ -268,7 +252,10 @@ def build_generalized_quaternion(four_n: int) -> FiniteGroup:
 
     Elements are y^0..y^(2n-1), then x*y^0..x*y^(2n-1).
     """
-    names, gens, label = quaternion_metadata(four_n)
+    if four_n < 8 or four_n % 4:
+        raise ValueError(
+            f"generalized quaternion order must be a multiple of 4 and >= 8, got {four_n}"
+        )
     half, quarter = four_n // 2, four_n // 4
 
     def mul(u, v):
@@ -281,7 +268,10 @@ def build_generalized_quaternion(four_n: int) -> FiniteGroup:
         return ((r1 ^ r2) * half + rot)
 
     rows = [[mul(u, v) for v in range(four_n)] for u in range(four_n)]
-    return _finalize(four_n, rows, names, gens, label)
+    return _finalize(
+        four_n, rows, _rotation_reflection_names(half), [("x", half), ("y", 1)],
+        f"Q_{four_n}",
+    )
 
 
 def _is_prime(n: int) -> bool:
@@ -315,8 +305,12 @@ def _resolve_frobenius_residue(p: int, q: int, r: Optional[int]) -> int:
     return r
 
 
-def frobenius_metadata(p: int, q: int, r: Optional[int] = None):
-    _resolve_frobenius_residue(p, q, r)
+def build_frobenius(p: int, q: int, r: Optional[int] = None) -> FiniteGroup:
+    """F_{p,q} = <a, b : a^p = b^q = 1, a^-1 b a = b^r> of order pq.
+
+    Elements are a^i b^j enumerated with index i*q + j.
+    """
+    r = _resolve_frobenius_residue(p, q, r)
     names = []
     for i in range(p):
         for j in range(q):
@@ -326,16 +320,6 @@ def frobenius_metadata(p: int, q: int, r: Optional[int] = None):
                 names.append(_power_name("a", i))
             else:
                 names.append(f"{_power_name('a', i)}*{_power_name('b', j)}")
-    return names, [("a", q), ("b", 1)], f"F({p},{q})"
-
-
-def build_frobenius(p: int, q: int, r: Optional[int] = None) -> FiniteGroup:
-    """F_{p,q} = <a, b : a^p = b^q = 1, a^-1 b a = b^r> of order pq.
-
-    Elements are a^i b^j enumerated with index i*q + j.
-    """
-    names, gens, label = frobenius_metadata(p, q, r)
-    r = _resolve_frobenius_residue(p, q, r)
     rpow = [pow(r, j, q) for j in range(p)]
 
     def mul(u, v):
@@ -345,7 +329,7 @@ def build_frobenius(p: int, q: int, r: Optional[int] = None) -> FiniteGroup:
 
     order = p * q
     rows = [[mul(u, v) for v in range(order)] for u in range(order)]
-    return _finalize(order, rows, names, gens, label)
+    return _finalize(order, rows, names, [("a", q), ("b", 1)], f"F({p},{q})")
 
 
 def _perm_parity(p: Sequence[int]) -> int:
@@ -395,14 +379,6 @@ def _alternating_perms(n: int) -> list[tuple[int, ...]]:
     if not 2 <= n <= 6:
         raise ValueError(f"alternating group supported for 2 <= n <= 6, got {n}")
     return [p for p in sorted(itertools.permutations(range(n))) if _perm_parity(p) == 0]
-
-
-def symmetric_metadata(n: int):
-    return [_cycle_name(p) for p in _symmetric_perms(n)], [], f"S{n}"
-
-
-def alternating_metadata(n: int):
-    return [_cycle_name(p) for p in _alternating_perms(n)], [], f"A{n}"
 
 
 def build_symmetric(n: int) -> FiniteGroup:

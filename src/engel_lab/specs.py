@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Optional
 
-from . import cache, groups
+from . import groups
 from .groups import FiniteGroup
 
 FAMILIES = ("C", "D", "Q", "F", "S", "A", "P")
@@ -35,15 +34,6 @@ _BUILDERS = {
     "F": groups.build_frobenius,
     "S": groups.build_symmetric,
     "A": groups.build_alternating,
-}
-
-_METADATA = {
-    "C": groups.cyclic_metadata,
-    "D": groups.dihedral_metadata,
-    "Q": groups.quaternion_metadata,
-    "F": groups.frobenius_metadata,
-    "S": groups.symmetric_metadata,
-    "A": groups.alternating_metadata,
 }
 
 _PARAM_COUNT = {"C": (1, 1), "D": (1, 1), "Q": (1, 1), "F": (2, 3), "S": (1, 1), "A": (1, 1)}
@@ -150,38 +140,19 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 @lru_cache(maxsize=256)
-def _build_cached(canonical: str, cache_dir: Optional[str]) -> FiniteGroup:
+def _build_cached(canonical: str) -> FiniteGroup:
     spec = parse_group_spec(canonical)
     if spec.family == "P":
-        factor_groups = [
-            build_group(f, cache_dir=cache_dir) for f in spec.factors
-        ]
-        return reduce(groups.direct_product, factor_groups)
-    builder = _BUILDERS[spec.family]
-    if cache_dir is not None:
-        # names/generators/label are always rebuilt from the spec (cheap);
-        # a cache hit only skips multiplication-table construction
-        names, gens, label = _METADATA[spec.family](*spec.params)
-        table = cache.load_table(cache_dir, canonical)
-        if table is not None and len(table) == len(names):
-            return groups.from_table(table, names, gens, label)
-        built = builder(*spec.params)
-        cache.store_group(cache_dir, canonical, built)
-        return built
-    return builder(*spec.params)
+        return reduce(groups.direct_product, map(build_group, spec.factors))
+    return _BUILDERS[spec.family](*spec.params)
 
 
-def build_group(
-    spec: GroupSpec | str, cache_dir: Optional[str] = None
-) -> FiniteGroup:
-    """Build (or fetch from cache) the group named by a spec.
-
-    Results are identical with and without a cache directory.
-    """
+def build_group(spec: GroupSpec | str) -> FiniteGroup:
+    """Build the group named by a spec (memoised on its canonical string)."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     try:
-        return _build_cached(spec.canonical(), cache_dir)
+        return _build_cached(spec.canonical())
     except GroupSpecError:
         raise
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,18 @@ def test_clique_multipartite_is_part_count():
         for b in range(1, 5):
             graph = complete_multipartite_graph([b] * a)
             assert el.clique_number(graph) == a
+    # K_{31x2}: 62 vertices, many small parts (the reduced graph of F:3:31)
+    assert el.clique_number(complete_multipartite_graph([2] * 31)) == 31
+
+
+def test_clique_reduced_a5_matches_networkx():
+    graph = el.reduced_co_engel_graph(el.build_group("A:5"))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.n))
+    nxg.add_edges_from(graph.edges())
+    want = max(len(c) for c in nx.find_cliques(nxg))
+    assert graph.n == 59
+    assert el.clique_number(graph) == want == 16
 
 
 def test_clique_edgeless_is_one():

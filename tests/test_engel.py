@@ -1,11 +1,14 @@
 """Engel-core: verdicts, left Engel sets, co-Engel and directed graphs."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
-from engel_lab.engel import validate_left_engel_baer
+from engel_lab import engel
+from engel_lab.engel import engel_relation, validate_left_engel_baer
+from engel_lab.verify import _soluble_catalog
 
 import oracles
 
@@ -87,6 +90,35 @@ def test_verdict_requires_exactly_one_field():
         el.EngelVerdict(True, first_k=1, cycle_length=2)
     with pytest.raises(ValueError):
         el.EngelVerdict(False)
+
+
+# --- the Engel relation against the per-pair verdict
+
+
+def _assert_relation_matches_verdicts(spec):
+    g = el.build_group(spec)
+    rel = engel_relation(g)
+    assert rel.shape == (g.order, g.order) and rel.dtype == bool
+    for x in range(g.order):
+        for y in range(g.order):
+            assert bool(rel[x, y]) == el.engel_verdict(g, x, y).terminates, (spec, x, y)
+    # the same matrix when the rows are computed three at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engel, "_RELATION_BLOCK_ENTRIES", 3 * g.order)
+        assert np.array_equal(engel_relation.__wrapped__(g), rel)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C:1", "C:2", "S:4", "A:5", "D:64", "Q:32", "F:5:11", "P:(C:2)x(D:12)"]
+)
+def test_engel_relation_matches_verdict_every_pair(spec):
+    _assert_relation_matches_verdicts(spec)
+
+
+@given(spec=st.sampled_from(_soluble_catalog(48)))
+@settings(max_examples=25, deadline=None)
+def test_engel_relation_matches_verdict_soluble_catalog(spec):
+    _assert_relation_matches_verdicts(spec)
 
 
 # --- left Engel sets

@@ -1,4 +1,4 @@
-"""Group specs, the table cache, and the command-line interface."""
+"""Group specs and the command-line interface."""
 
 import json
 import subprocess
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
-from engel_lab.cache import cache_filename, group_to_json_obj, load_table, store_group
 from engel_lab.cli import main
 from engel_lab.specs import GroupSpec, GroupSpecError, parse_group_spec
 from engel_lab.verify import ALL_CLAIM_IDS, run_paper_verification
@@ -79,73 +78,6 @@ def test_explicit_frobenius_residue_specs():
     from engel_lab.groups import are_isomorphic_small
 
     assert are_isomorphic_small(g1, g2)
-
-
-# --- cache
-
-
-def test_cache_round_trip_identical_results(tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    base = el.build_group("D:24")
-    cached_first = el.build_group("D:24", cache_dir=cache_dir)
-    # force a re-read through the file by clearing the build cache
-    from engel_lab.specs import _build_cached
-
-    _build_cached.cache_clear()
-    cached_second = el.build_group("D:24", cache_dir=cache_dir)
-    for g in (cached_first, cached_second):
-        assert g.table == base.table
-        assert g.element_names == base.element_names
-        assert g.generators == base.generators
-        assert g.label == base.label
-    assert (tmp_path / "cache" / cache_filename("D:24")).exists()
-    _build_cached.cache_clear()
-
-
-def test_cache_schema_fields(tmp_path):
-    g = el.build_group("Q:12")
-    obj = group_to_json_obj(g)
-    assert set(obj) == {"label", "order", "generators", "table"}
-    assert obj["order"] == 12 and len(obj["table"]) == 144
-    assert {"name": "y", "index": 1} in obj["generators"]
-
-
-def test_cache_ignores_corrupt_files(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    (cache_dir / cache_filename("D:12")).write_text("{not json", encoding="utf-8")
-    assert load_table(str(cache_dir), "D:12") is None
-    from engel_lab.specs import _build_cached
-
-    _build_cached.cache_clear()
-    g = el.build_group("D:12", cache_dir=str(cache_dir))
-    assert g.table == el.build_dihedral(12).table
-    _build_cached.cache_clear()
-
-
-def test_cache_metadata_matches_builders():
-    import engel_lab.groups as gr
-
-    cases = [
-        (gr.cyclic_metadata, gr.build_cyclic, (12,)),
-        (gr.dihedral_metadata, gr.build_dihedral, (24,)),
-        (gr.quaternion_metadata, gr.build_generalized_quaternion, (24,)),
-        (gr.frobenius_metadata, gr.build_frobenius, (3, 7)),
-        (gr.symmetric_metadata, gr.build_symmetric, (4,)),
-        (gr.alternating_metadata, gr.build_alternating, (4,)),
-    ]
-    for meta, build, params in cases:
-        names, gens, label = meta(*params)
-        g = build(*params)
-        assert tuple(names) == g.element_names
-        assert tuple(gens) == g.generators
-        assert label == g.label
-
-
-def test_cache_skips_large_orders(tmp_path):
-    g = el.build_group("P:(Q:8)x(P:(Q:8)x(Q:12))")  # order 768 > 512
-    store_group(str(tmp_path), "big", g)
-    assert not (tmp_path / cache_filename("big")).exists()
 
 
 # --- verification sweep
@@ -336,34 +268,6 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nilpotent"] is True
-
-
-def test_cli_cache_dir_flag(tmp_path, capsys):
-    from engel_lab.specs import _build_cached
-
-    _build_cached.cache_clear()
-    code, out, _ = _run_cli(
-        ["--cache-dir", str(tmp_path), "group", "D:10"], capsys
-    )
-    assert code == 0
-    assert (tmp_path / cache_filename("D:10")).exists()
-    # cached result identical to uncached
-    _build_cached.cache_clear()
-    code2, out2, _ = _run_cli(["--cache-dir", str(tmp_path), "group", "D:10"], capsys)
-    _build_cached.cache_clear()
-    code3, out3, _ = _run_cli(["group", "D:10"], capsys)
-    assert out == out2 == out3
-
-
-def test_cli_env_var_cache_dir(tmp_path, capsys, monkeypatch):
-    from engel_lab.specs import _build_cached
-
-    _build_cached.cache_clear()
-    monkeypatch.setenv("ENGEL_LAB_CACHE", str(tmp_path))
-    code, out, _ = _run_cli(["group", "Q:16"], capsys)
-    assert code == 0
-    assert (tmp_path / cache_filename("Q:16")).exists()
-    _build_cached.cache_clear()
 
 
 def test_cli_verify_paper_exit_one_on_failure(capsys, monkeypatch):
