@@ -18,7 +18,7 @@ from typing import Optional
 from . import SCHEMA, engel, topology
 from .analysis import CLIQUE_VERTEX_LIMIT, clique_number, is_planar, recognize_complete_multipartite
 from .groups import FiniteGroup, hypercenter, is_nilpotent, is_soluble
-from .spectra import spectrum_report
+from .spectra import SPECTRUM_VERTEX_LIMIT, spectrum_report
 from .specs import GroupSpecError, build_group, parse_group_spec
 from .verify import run_paper_verification, sweep_single_arcs
 
@@ -124,6 +124,14 @@ def cmd_analyze(args) -> int:
                 "reason": f"{graph.n} vertices exceeds clique limit {CLIQUE_VERTEX_LIMIT}"
             }
         }
+    if graph.n <= SPECTRUM_VERTEX_LIMIT:
+        spectrum: object = spectrum_report(graph).to_json_obj()
+    else:
+        spectrum = {
+            "skipped": {
+                "reason": f"{graph.n} vertices exceeds spectrum limit {SPECTRUM_VERTEX_LIMIT}"
+            }
+        }
     sc = topology.surface_class_of_reduced(g)
     doc = {
         "schema": SCHEMA,
@@ -141,7 +149,7 @@ def cmd_analyze(args) -> int:
             "classification": sc.classification,
             "projective": sc.projective,
         },
-        "spectrum": spectrum_report(graph).to_json_obj(),
+        "spectrum": spectrum,
         "zagreb": topology.zagreb_report(graph).to_json_obj(),
     }
     sys.stdout.write(_dump_json(doc))

@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive and self-contained: groups are modelled
 with explicit element tuples (not index tables), graph searches are exhaustive,
-and polynomials come from permanent-style determinant expansion.  None of it
-shares code with the package under test.
+and polynomials come from permanent-style determinant expansion or from a
+modular Faddeev-LeVerrier kernel.  None of it shares code with the package
+under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +337,73 @@ def brute_charpoly(matrix):
         for k, c in enumerate(term):
             acc[k] += c
     return acc
+
+
+def faddeev_leverrier_charpoly(matrix):
+    """det(xI - M) by modular Faddeev-LeVerrier; ascending coefficients.
+
+    An O(n^4)-per-prime kernel independent of the package's: B_0 = I,
+    T_k = M B_{k-1}, c_k = -tr(T_k) / k and B_k = T_k + c_k I, modulo the
+    30-bit primes below 2^30 (found by trial division) whose product exceeds
+    twice the Hadamard coefficient bound, then an iterative CRT lift.
+    """
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    max_entry = max(1, max(abs(int(v)) for row in matrix for v in row))
+    if n * max_entry >= (1 << 32):
+        raise ValueError("matrix too large for the int64 modular kernel")
+    bound = max(hadamard_coefficient_terms(n, max_entry))
+    primes, modulus = [], 1
+    while modulus <= 2 * bound:
+        primes.append(_prime_below_2_30(len(primes)))
+        modulus *= primes[-1]
+    m = np.array(matrix, dtype=np.int64)
+    residues = []
+    for p in primes:
+        coeffs = [1]
+        b = np.eye(n, dtype=np.int64)
+        for k in range(1, n + 1):
+            t = (m @ b) % p
+            c = (-int(np.trace(t))) * pow(k, -1, p) % p
+            coeffs.append(c)
+            b = t
+            np.fill_diagonal(b, (b.diagonal() + c) % p)
+        residues.append(coeffs)
+    coeffs_desc = []
+    for idx in range(n + 1):
+        value, mod = 0, 1
+        for p, res in zip(primes, residues):
+            t = (res[idx] - value) * pow(mod, -1, p) % p
+            value += mod * t
+            mod *= p
+        if value > mod // 2:
+            value -= mod
+        coeffs_desc.append(value)
+    return coeffs_desc[::-1]
+
+
+def hadamard_coefficient_terms(n, max_entry):
+    """[C(n,k) (ceil(sqrt(k)) B)^k for k = 0..n]: term k bounds |e_k(λ)|, the
+    sum of the k x k principal minors of an n x n matrix with entries of
+    absolute value at most B (Hadamard's inequality on each minor)."""
+    return [
+        math.comb(n, k) * ((math.isqrt(k - 1) + 1 if k else 1) * max_entry) ** k
+        for k in range(n + 1)
+    ]
+
+
+_PRIMES_BELOW_2_30 = []
+
+
+def _prime_below_2_30(index):
+    """The index-th prime below 2^30, counting down from the top."""
+    candidate = _PRIMES_BELOW_2_30[-1] - 2 if _PRIMES_BELOW_2_30 else (1 << 30) - 1
+    while len(_PRIMES_BELOW_2_30) <= index:
+        if all(candidate % d for d in range(3, math.isqrt(candidate) + 1, 2)):
+            _PRIMES_BELOW_2_30.append(candidate)
+        candidate -= 2
+    return _PRIMES_BELOW_2_30[index]
 
 
 def brute_zagreb(n, edges):

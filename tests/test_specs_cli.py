@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+from engel_lab.analysis import MultipartiteShape
 from engel_lab.cli import main
 from engel_lab.specs import GroupSpec, GroupSpecError, parse_group_spec
 from engel_lab.verify import ALL_CLAIM_IDS, run_paper_verification
@@ -177,6 +178,29 @@ def test_cli_analyze_engel_group_reports_skip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert "skipped" in doc["reduced_graph"]
+
+
+def test_cli_analyze_past_spectrum_limit_reports_skip(capsys):
+    code, out, _ = _run_cli(["analyze", "A:6"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reduced_vertices"] == 359 > el.spectra.SPECTRUM_VERTEX_LIMIT
+    assert doc["spectrum"] == {
+        "skipped": {"reason": "359 vertices exceeds spectrum limit 200"}
+    }
+    assert doc["zagreb"] == el.zagreb_report(
+        el.reduced_co_engel_graph(el.build_group("A:6"))
+    ).to_json_obj()
+
+
+def test_cli_analyze_below_spectrum_limit_carries_spectra(capsys):
+    code, out, _ = _run_cli(["analyze", "D:384"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reduced_vertices"] == 192 <= el.spectra.SPECTRUM_VERTEX_LIMIT
+    assert doc["shape"] == [64, 64, 64]
+    want = el.closed_form_spectra(MultipartiteShape((64, 64, 64)))
+    assert doc["spectrum"] == want.to_json_obj()
 
 
 def test_cli_determinism_byte_identical(capsys):

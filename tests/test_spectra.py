@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+from engel_lab import spectra
 from engel_lab.analysis import MultipartiteShape
 from engel_lab.graphs import complete_multipartite_graph
-from engel_lab.spectra import IntegerSpectrum, IntPolynomial
+from engel_lab.spectra import IntegerSpectrum, IntPolynomial, char_poly_exact
+from engel_lab.verify import _soluble_catalog, run_paper_verification
 
 import oracles
 
@@ -50,11 +52,20 @@ def test_charpoly_small_fixed():
     assert el.char_poly_exact([[0, 1], [1, 0]]).coeffs == (-1, 0, 1)
 
 
+def _graph_matrices(graph):
+    """A, L = D - A and Q = D + A of a graph, as lists of rows."""
+    n = graph.n
+    adj = [[1 if graph.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    deg = graph.degrees()
+    lap = [[(deg[i] if i == j else 0) - adj[i][j] for j in range(n)] for i in range(n)]
+    sig = [[(deg[i] if i == j else 0) + adj[i][j] for j in range(n)] for i in range(n)]
+    return adj, lap, sig
+
+
 def test_charpoly_kn_matches_paper_form():
     # P(K_n, x) = (x+1)^(n-1) (x - (n-1))
     for n in (2, 3, 5, 8, 13):
-        graph = complete_multipartite_graph([1] * n)
-        adj = [[1 if graph.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+        adj = _graph_matrices(complete_multipartite_graph([1] * n))[0]
         want = IntPolynomial((1, 1)) ** (n - 1) * IntPolynomial((-(n - 1), 1))
         assert el.char_poly_exact(adj) == want
 
@@ -62,16 +73,7 @@ def test_charpoly_kn_matches_paper_form():
 def test_charpoly_kab_matches_paper_forms():
     # A: x^(a(b-1)) (x+b)^(a-1) (x - b(a-1)); L and Q likewise
     for a, b in [(3, 2), (3, 4), (5, 2), (7, 2), (4, 3)]:
-        graph = complete_multipartite_graph([b] * a)
-        n = graph.n
-        adj = [[1 if graph.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
-        deg = graph.degrees()
-        lap = [
-            [(deg[i] if i == j else 0) - adj[i][j] for j in range(n)] for i in range(n)
-        ]
-        sig = [
-            [(deg[i] if i == j else 0) + adj[i][j] for j in range(n)] for i in range(n)
-        ]
+        adj, lap, sig = _graph_matrices(complete_multipartite_graph([b] * a))
         want_a = (
             IntPolynomial((0, 1)) ** (a * (b - 1))
             * IntPolynomial((b, 1)) ** (a - 1)
@@ -114,6 +116,94 @@ def test_charpoly_large_entries_crt_path():
 def test_charpoly_rejects_ragged():
     with pytest.raises(ValueError):
         el.char_poly_exact([[1, 2], [3]])
+
+
+def test_charpoly_rejects_entries_past_int64_kernel():
+    with pytest.raises(ValueError, match="too large"):
+        el.char_poly_exact([[2**31, 0], [0, 0]])
+
+
+def _assert_matches_faddeev_leverrier(matrix):
+    got = el.char_poly_exact(matrix)
+    assert list(got.coeffs) == oracles.faddeev_leverrier_charpoly(matrix)
+    return got
+
+
+DIFFERENTIAL_SPECS = [
+    spec
+    for spec in dict.fromkeys(_soluble_catalog(48) + ["A:4", "S:4", "A:5"])
+    if not el.is_nilpotent(el.build_group(spec))
+]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
+def test_charpoly_matches_faddeev_leverrier_on_reduced_graphs(spec):
+    graph = el.reduced_co_engel_graph(el.build_group(spec))
+    for matrix in _graph_matrices(graph):
+        _assert_matches_faddeev_leverrier(matrix)
+
+
+def _coefficients_within_bounds(matrix, poly):
+    """The proven per-coefficient bounds hold for poly = det(xI - M) and are
+    never above the Hadamard terms."""
+    n = len(matrix)
+    max_entry = max(1, max(abs(v) for row in matrix for v in row))
+    frob_sq = sum(v * v for row in matrix for v in row)
+    bounds = spectra._coefficient_bounds(n, max_entry, frob_sq)
+    hadamard = oracles.hadamard_coefficient_terms(n, max_entry)
+    for k in range(n + 1):
+        assert abs(poly.coeffs[n - k]) <= bounds[k] <= hadamard[k]
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_charpoly_matches_faddeev_leverrier_dense(data):
+    # dense residues: an int64 dot product of two residue vectors would overflow
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    entry = st.integers(min_value=-(10**6), max_value=10**6)
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    _coefficients_within_bounds(matrix, _assert_matches_faddeev_leverrier(matrix))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_matches_faddeev_leverrier_sparse_01(data):
+    # mostly-zero columns force pivot row swaps and skipped reduction steps
+    n = data.draw(st.integers(min_value=1, max_value=24))
+    bit = st.sampled_from([0, 0, 0, 0, 1])
+    matrix = [[data.draw(bit) for _ in range(n)] for _ in range(n)]
+    _coefficients_within_bounds(matrix, _assert_matches_faddeev_leverrier(matrix))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_charpoly_pivot_zero_mod_first_prime(data):
+    # entries +-p0 vanish modulo the first prime, so pivots there are zero
+    p0 = spectra._primes_below_2_30(1)[0]
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    entry = st.sampled_from([p0, -p0, 0, 1, -1])
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    got = _assert_matches_faddeev_leverrier(matrix)
+    assert list(got.coeffs) == oracles.brute_charpoly(matrix)
+
+
+def test_coefficient_bounds_cover_verify_paper_matrices(monkeypatch):
+    seen = []
+
+    def recording(matrix):
+        poly = char_poly_exact(matrix)
+        seen.append((matrix, poly))
+        return poly
+
+    monkeypatch.setattr(spectra, "char_poly_exact", recording)
+    spectra.spectrum_report.cache_clear()
+    try:
+        run_paper_verification()
+    finally:
+        spectra.spectrum_report.cache_clear()
+    assert len(seen) == 102
+    for matrix, poly in seen:
+        _coefficients_within_bounds(matrix, poly)
 
 
 # --- integer_roots
