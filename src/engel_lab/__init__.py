@@ -36,10 +36,7 @@ from .groups import (
     build_generalized_quaternion,
     build_symmetric,
     center,
-    commutator,
-    conjugate,
     direct_product,
-    element_order,
     hypercenter,
     is_nilpotent,
     is_normal,

@@ -6,8 +6,9 @@ it is eventually periodic; a verdict reports either the minimal k with
 [x,_k y] = 1 or the period of the non-terminating tail.
 
 ``engel_relation`` decides [x,_k y] = 1 for every pair at once by pointer
-doubling on the maps a -> [a, y]; L(G) and the full, reduced and directed
-graphs are views of that one matrix.
+doubling on the rows of the group's commutator map ``c[y, a] = [a, y]``
+(``groups.commutator_map``); L(G) and the full, reduced and directed graphs
+are views of that one matrix.
 """
 
 from __future__ import annotations
@@ -22,10 +23,16 @@ from .graphs import DirectedGraph, SimpleGraph
 from .groups import (
     FiniteGroup,
     Subgroup,
+    commutator_map,
+    cosets,
     is_nilpotent,
     is_normal,
+    normal_cyclic_subgroups,
+    quotient_group,
     subgroup_generated,
 )
+# the doubling steps gather on the same row blocks as the commutator map
+from .groups import _BLOCK_ENTRIES as _RELATION_BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -67,12 +74,6 @@ def engel_verdict(g: FiniteGroup, x: int, y: int) -> EngelVerdict:
     return EngelVerdict(terminates=False, cycle_length=k - seen[a])
 
 
-# Rows y are computed in blocks of about this many entries: numpy copies each
-# index array to 64-bit integers, and one n x n pass over S_6 raised the peak
-# memory by about 4 MB more than blocks do.
-_RELATION_BLOCK_ENTRIES = 1 << 16
-
-
 @lru_cache(maxsize=128)
 def engel_relation(g: FiniteGroup) -> np.ndarray:
     """n x n bool matrix: ``rel[x, y]`` iff [x, _k y] = 1 for some k >= 1.
@@ -83,16 +84,11 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
     n steps, so after 2^d >= n steps x maps to 1 iff it ever does.
     """
     n = g.order
-    index = np.min_scalar_type(n)
-    t = np.array(g.table, dtype=index)
-    inv = np.array(g.inverse, dtype=index)
-    a = np.arange(n, dtype=index)
+    c = commutator_map(g)
     reaches = np.empty((n, n), dtype=bool)  # reaches[y, x] = rel[x, y]
     block = max(1, _RELATION_BLOCK_ENTRIES // n)
     for lo in range(0, n, block):
-        y = a[lo : lo + block, None]
-        # f[y, a] = [a, y] = a^-1 y^-1 a y
-        f = t[t[t[inv[None, :], inv[y]], a[None, :]], y]
+        f = c[lo : lo + block]
         for _ in range((n - 1).bit_length()):
             f = np.take_along_axis(f, f, axis=1)
         reaches[lo : lo + block] = f == g.identity
@@ -130,8 +126,10 @@ def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
     """Check L(G) is the Fitting subgroup: a normal nilpotent subgroup such
     that no strictly larger candidate <L(G), x> is normal and nilpotent.
 
-    One candidate x per coset of L(G) suffices, since <L, x> = <L, xl>.
-    Raises ValueError with the offending witness on failure.
+    One candidate x per coset of L(G) suffices, since <L, x> = <L, xl>; and
+    as L is normal, <L, x> / L = <xL>, so <L, x> is normal iff the cyclic
+    subgroup <xL> of G/L is.  Raises ValueError with the offending witness
+    on failure.
     """
     sub = left_engel_subgroup(g)
     if not is_normal(g, sub):
@@ -139,15 +137,14 @@ def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
     if not is_nilpotent(sub.as_group()):
         raise ValueError(f"L({g.label}) is not nilpotent")
     g_nilpotent = is_nilpotent(g)
-    seen = set(sub.members)
-    for x in range(g.order):
-        if x in seen:
+    reps, _ = cosets(g, sub)  # element i of G/L is the coset of reps[i]
+    q = quotient_group(g, sub)
+    normal = normal_cyclic_subgroups(q)
+    for i in np.flatnonzero(normal.any(axis=1)).tolist():
+        if i == q.identity or (normal[i].all() and not g_nilpotent):
             continue
-        seen.update(g.table[x][m] for m in sub.members)
-        bigger = subgroup_generated(g, list(sub.members) + [x])
-        if bigger.size == g.order and not g_nilpotent:
-            continue
-        if is_normal(g, bigger) and is_nilpotent(bigger.as_group()):
+        x = int(reps[i])
+        if is_nilpotent(subgroup_generated(g, [*sub.members, x]).as_group()):
             raise ValueError(
                 f"L({g.label}) is not maximal: <L, {g.element_names[x]}> is "
                 "normal nilpotent"

@@ -1,74 +1,87 @@
 """Finite groups as explicit multiplication tables with 0-based element indices.
 
 Every group is a fully materialised Cayley table plus canonical element names,
-so downstream computations reduce to exact table arithmetic.  Builders are
-pure and enumerate elements in a documented, bit-reproducible order.
+so downstream computations reduce to exact table arithmetic.  ``table`` and
+``inverse`` are read-only numpy arrays of dtype ``np.min_scalar_type(order)``.
+Each builder gives its table as one broadcast expression of row and column
+indices; the structure functions (centre, series, normality, closure, element
+orders) are array expressions over the table and the commutator map
+``c[y, a] = [a, y]``.  Builders are pure and enumerate elements in a
+documented, bit-reproducible order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 200
 ASSOCIATIVITY_SAMPLES = 10_000
 
+# Gathers through n x n index arrays run over blocks of rows of about this
+# many entries: numpy copies each index array to 64-bit integers, and one
+# n x n pass over S_6 raised the peak memory by about 4 MB more than blocks do.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _blocks(rows: int, cols: int) -> Iterator[slice]:
+    """Slices of consecutive rows, about ``_BLOCK_ENTRIES`` entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(1, cols))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Immutable finite group on elements 0..order-1.
 
-    ``table[i][j]`` is the index of the product (i first, then j).  Identity
+    ``table[i, j]`` is the index of the product (i first, then j).  Identity
     and inverses are precomputed; ``generators`` is a list of (name, index)
-    pairs and ``element_names`` gives a word for every element.
+    pairs and ``element_names`` gives a word for every element.  The scalar
+    accessors return Python ints.
     """
 
     order: int
-    table: tuple[tuple[int, ...], ...]
+    table: np.ndarray
     identity: int
-    inverse: tuple[int, ...]
+    inverse: np.ndarray
     generators: tuple[tuple[str, int], ...]
     element_names: tuple[str, ...]
     label: str
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return int(self.inverse[a])
 
     def conjugate(self, x: int, y: int) -> int:
-        """x conjugated by y, i.e. y^-1 x y."""
-        t = self.table
-        return t[t[self.inverse[y]][x]][y]
+        """x conjugated by y, i.e. y^-1 x y = x [x, y]."""
+        return int(self.table[x, commutator_map(self)[y, x]])
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
-        t = self.table
-        return t[t[t[self.inverse[x]][self.inverse[y]]][x]][y]
+        return int(commutator_map(self)[y, x])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inverse[a], -k)
+            return self.power(self.inv(a), -k)
         acc = self.identity
         base = a
         while k:
             if k & 1:
-                acc = self.table[acc][base]
-            base = self.table[base][base]
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
             k >>= 1
         return acc
 
     def element_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != self.identity:
-            cur = self.table[cur][a]
-            k += 1
-        return k
+        return int(element_orders(self)[a])
 
     def generator_index(self, name: str) -> int:
         for gname, idx in self.generators:
@@ -83,14 +96,43 @@ class FiniteGroup:
             raise KeyError(f"group {self.label} has no element named {name!r}") from None
 
     def order_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for a in range(self.order):
-            k = self.element_order(a)
-            census[k] = census.get(k, 0) + 1
-        return census
+        orders, counts = np.unique(element_orders(self), return_counts=True)
+        return dict(zip(orders.tolist(), counts.tolist()))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
+
+
+@lru_cache(maxsize=128)
+def commutator_map(g: FiniteGroup) -> np.ndarray:
+    """Read-only n x n map ``c[y, a] = [a, y] = a^-1 y^-1 a y``: row y is the
+    map a -> [a, y]."""
+    t, inv = g.table, g.inverse
+    a = np.arange(g.order)
+    c = np.empty_like(t)
+    for rows in _blocks(g.order, g.order):
+        y = a[rows, None]
+        c[rows] = t[t[t[inv[None, :], inv[y]], a[None, :]], y]
+    c.flags.writeable = False
+    return c
+
+
+@lru_cache(maxsize=128)
+def element_orders(g: FiniteGroup) -> np.ndarray:
+    """Read-only order of every element: the least k >= 1 with x^k = 1."""
+    x = np.arange(g.order)
+    orders = np.zeros(g.order, dtype=np.intp)
+    power, k = x, 1
+    while True:
+        orders[(orders == 0) & (power == g.identity)] = k
+        if orders.all():
+            orders.flags.writeable = False
+            return orders
+        power, k = g.table[power, x], k + 1
+
+
+def _subgroup(g: FiniteGroup, inside: np.ndarray) -> "Subgroup":
+    return Subgroup(g, tuple(np.flatnonzero(inside).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,77 +152,66 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, idx: int) -> bool:
-        return idx in self._member_set()
-
-    def _member_set(self) -> frozenset[int]:
-        return self._members_frozen
+        return idx in self._members_frozen
 
     def validate(self) -> None:
+        """Identity and closure under products (which in a finite group
+        brings the inverses)."""
         g = self.parent
-        mem = self._member_set()
-        if g.identity not in mem:
+        m = np.array(self.members, dtype=np.intp)
+        inside = np.isin(np.arange(g.order), m)
+        if not inside[g.identity]:
             raise ValueError("subgroup does not contain the identity")
-        for a in self.members:
-            if g.inverse[a] not in mem:
-                raise ValueError(f"subgroup not closed under inverse at {a}")
-            for b in self.members:
-                if g.table[a][b] not in mem:
-                    raise ValueError(f"subgroup not closed under product at ({a},{b})")
+        for rows in _blocks(len(m), len(m)):
+            missing = ~inside[g.table[np.ix_(m[rows], m)]]
+            if missing.any():
+                i, j = np.unravel_index(missing.argmax(), missing.shape)
+                raise ValueError(
+                    f"subgroup not closed under product at ({m[rows][i]},{m[j]})"
+                )
 
     def as_group(self, label: Optional[str] = None) -> FiniteGroup:
         """The subgroup as a standalone group with reindexed table."""
+        self.validate()
         g = self.parent
-        pos = {e: i for i, e in enumerate(self.members)}
-        mem = self._member_set()
-        rows = []
-        for a in self.members:
-            row = []
-            for b in self.members:
-                p = g.table[a][b]
-                if p not in mem:
-                    raise ValueError("not closed under product; not a subgroup")
-                row.append(pos[p])
-            rows.append(tuple(row))
+        m = np.array(self.members, dtype=np.intp)
+        pos = np.zeros(g.order, dtype=np.intp)
+        pos[m] = np.arange(len(m))
         return _finalize(
-            len(self.members),
-            rows,
+            len(m),
+            lambda u, v: pos[g.table[m[u], m[v]]],
             tuple(g.element_names[e] for e in self.members),
             (),
-            label or f"{g.label}|subgroup{len(self.members)}",
+            label or f"{g.label}|subgroup{len(m)}",
         )
 
 
 def _finalize(
     order: int,
-    rows: Sequence[Sequence[int]],
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray],
     names: Sequence[str],
     generators: Sequence[tuple[str, int]],
     label: str,
 ) -> FiniteGroup:
-    table = tuple(tuple(r) for r in rows)
-    identity = None
-    for e in range(order):
-        if all(table[e][x] == x and table[x][e] == x for x in range(order)):
-            identity = e
-            break
-    if identity is None:
+    """The group whose table is ``product(u, v)`` for a column u of row indices
+    and a row v of column indices (intp); rows are filled in blocks, narrowed
+    to ``np.min_scalar_type(order)``."""
+    table = np.empty((order, order), dtype=np.min_scalar_type(order))
+    v = np.arange(order)
+    for rows in _blocks(order, order):
+        table[rows] = product(v[rows, None], v[None, :])
+    is_identity = (table == v).all(axis=1) & (table == v[:, None]).all(axis=0)
+    if not is_identity.any():
         raise ValueError(f"table for {label} has no identity element")
-    inverse = [None] * order
-    for a in range(order):
-        for b in range(order):
-            if table[a][b] == identity and table[b][a] == identity:
-                inverse[a] = b
-                break
-        if inverse[a] is None:
-            raise ValueError(f"element {a} of {label} has no inverse")
+    identity = int(is_identity.argmax())
+    both = (table == identity) & (table.T == identity)
+    found = both.any(axis=1)
+    if not found.all():
+        raise ValueError(f"element {found.argmin()} of {label} has no inverse")
+    inverse = both.argmax(axis=1).astype(table.dtype)
+    table.flags.writeable = inverse.flags.writeable = False
     return FiniteGroup(
-        order=order,
-        table=table,
-        identity=identity,
-        inverse=tuple(inverse),
-        generators=tuple(generators),
-        element_names=tuple(names),
-        label=label,
+        order, table, identity, inverse, tuple(generators), tuple(names), label
     )
 
 
@@ -190,12 +221,18 @@ def from_table(
     generators: Sequence[tuple[str, int]] = (),
     label: str = "group",
 ) -> FiniteGroup:
-    """Wrap a raw multiplication table; identity and inverses are found from
-    it, and names default to the indices."""
-    order = len(rows)
+    """Wrap a raw multiplication table of indices 0..n-1 (ValueError
+    otherwise); identity and inverses are found from it, and names default
+    to the indices."""
+    table = np.asarray(rows)
+    order = len(table)
+    if table.shape != (order, order) or not np.issubdtype(table.dtype, np.integer) or (
+        order and (table.min() < 0 or table.max() >= order)
+    ):
+        raise ValueError(f"{label}: not an {order}x{order} table of indices below {order}")
     if names is None:
         names = tuple(str(i) for i in range(order))
-    return _finalize(order, rows, names, generators, label)
+    return _finalize(order, lambda u, v: table[u, v], names, generators, label)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +245,11 @@ def build_cyclic(n: int) -> FiniteGroup:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     gens = [("g", 1 % n)] if n > 1 else []
-    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _finalize(n, rows, names, gens, f"C{n}")
+    return _finalize(n, lambda u, v: (u + v) % n, names, gens, f"C{n}")
 
 
 def _power_name(base: str, i: int) -> str:
-    if i == 0:
-        return "e"
-    if i == 1:
-        return base
-    return f"{base}^{i}"
+    return "e" if i == 0 else base if i == 1 else f"{base}^{i}"
 
 
 def _rotation_reflection_names(half: int) -> list[str]:
@@ -235,15 +267,12 @@ def build_dihedral(two_n: int) -> FiniteGroup:
         raise ValueError(f"dihedral order must be even and >= 4, got {two_n}")
     n = two_n // 2
 
-    def mul(u, v):
-        r1, a = divmod(u, n)
-        r2, b = divmod(v, n)
-        rot = (a + b) % n if r2 == 0 else (b - a) % n
-        return ((r1 ^ r2) * n + rot)
+    def product(u, v):
+        (r1, a), (r2, b) = np.divmod(u, n), np.divmod(v, n)
+        return (r1 ^ r2) * n + np.where(r2 == 0, a + b, b - a) % n
 
-    rows = [[mul(u, v) for v in range(two_n)] for u in range(two_n)]
     return _finalize(
-        two_n, rows, _rotation_reflection_names(n), [("x", n), ("y", 1)], f"D_{two_n}"
+        two_n, product, _rotation_reflection_names(n), [("x", n), ("y", 1)], f"D_{two_n}"
     )
 
 
@@ -253,36 +282,22 @@ def build_generalized_quaternion(four_n: int) -> FiniteGroup:
     Elements are y^0..y^(2n-1), then x*y^0..x*y^(2n-1).
     """
     if four_n < 8 or four_n % 4:
-        raise ValueError(
-            f"generalized quaternion order must be a multiple of 4 and >= 8, got {four_n}"
-        )
+        raise ValueError(f"generalized quaternion order must be a multiple of 4 and >= 8, "
+                         f"got {four_n}")
     half, quarter = four_n // 2, four_n // 4
 
-    def mul(u, v):
-        r1, a = divmod(u, half)
-        r2, b = divmod(v, half)
-        if r2 == 0:
-            rot = (a + b) % half
-        else:
-            rot = (b - a + (quarter if r1 else 0)) % half
-        return ((r1 ^ r2) * half + rot)
+    def product(u, v):
+        (r1, a), (r2, b) = np.divmod(u, half), np.divmod(v, half)
+        return (r1 ^ r2) * half + np.where(r2 == 0, a + b, b - a + quarter * r1) % half
 
-    rows = [[mul(u, v) for v in range(four_n)] for u in range(four_n)]
     return _finalize(
-        four_n, rows, _rotation_reflection_names(half), [("x", half), ("y", 1)],
+        four_n, product, _rotation_reflection_names(half), [("x", half), ("y", 1)],
         f"Q_{four_n}",
     )
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, n):
-        if d * d > n:
-            break
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def default_frobenius_residue(p: int, q: int) -> int:
@@ -311,101 +326,76 @@ def build_frobenius(p: int, q: int, r: Optional[int] = None) -> FiniteGroup:
     Elements are a^i b^j enumerated with index i*q + j.
     """
     r = _resolve_frobenius_residue(p, q, r)
-    names = []
-    for i in range(p):
-        for j in range(q):
-            if i == 0:
-                names.append(_power_name("b", j))
-            elif j == 0:
-                names.append(_power_name("a", i))
-            else:
-                names.append(f"{_power_name('a', i)}*{_power_name('b', j)}")
-    rpow = [pow(r, j, q) for j in range(p)]
+    names = [
+        "*".join(w for w in (_power_name("a", i), _power_name("b", j)) if w != "e") or "e"
+        for i in range(p)
+        for j in range(q)
+    ]
+    rpow = np.array([pow(r, j, q) for j in range(p)])
 
-    def mul(u, v):
-        i, t = divmod(u, q)
-        j, s = divmod(v, q)
-        return ((i + j) % p) * q + (s + t * rpow[j]) % q
+    def product(u, v):
+        # a^i b^t * a^j b^s = a^(i+j) b^(s + t r^j)
+        (i, t), (j, s) = np.divmod(u, q), np.divmod(v, q)
+        return (i + j) % p * q + (s + t * rpow[j]) % q
 
-    order = p * q
-    rows = [[mul(u, v) for v in range(order)] for u in range(order)]
-    return _finalize(order, rows, names, [("a", q), ("b", 1)], f"F({p},{q})")
-
-
-def _perm_parity(p: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inv += 1
-    return inv % 2
+    return _finalize(p * q, product, names, [("a", q), ("b", 1)], f"F({p},{q})")
 
 
 def _cycle_name(p: Sequence[int]) -> str:
-    seen = set()
-    parts = []
+    seen, parts = set(), []
     for s in range(len(p)):
-        if s in seen or p[s] == s:
-            continue
-        cyc = [s]
-        seen.add(s)
-        t = p[s]
-        while t != s:
-            cyc.append(t)
+        cyc, t = [], s
+        while t not in seen:
             seen.add(t)
+            cyc.append(str(t + 1))
             t = p[t]
-        parts.append("(" + ",".join(str(v + 1) for v in cyc) + ")")
-    return "".join(parts) if parts else "e"
+        if len(cyc) > 1:
+            parts.append("(" + ",".join(cyc) + ")")
+    return "".join(parts) or "e"
 
 
 def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
-    index = {perm: i for i, perm in enumerate(perms)}
-    rows = []
-    for s in perms:
-        # product s*t acts as t-first composition: (s*t)(i) = s(t(i))
-        rows.append(tuple(index[tuple(s[t[i]] for i in range(len(s)))] for t in perms))
-    names = [_cycle_name(p) for p in perms]
-    gens = []
-    return _finalize(len(perms), rows, names, gens, label)
+    """Group of lexicographically sorted permutations of 0..k-1."""
+    p = np.array(perms, dtype=np.intp)
+    k = p.shape[1]
+    # base-k codes of the permutations, ascending because perms is sorted
+    codes = p @ k ** np.arange(k - 1, -1, -1)
+
+    def product(u, v):
+        # s*t acts as t-first composition, (s*t)(i) = s(t(i)); its code is
+        # built one point at a time
+        code = 0
+        for i in range(k):
+            code = code * k + p[u, p[v, i]]
+        return np.searchsorted(codes, code)
+
+    return _finalize(len(perms), product, [_cycle_name(s) for s in perms], [], label)
 
 
-def _symmetric_perms(n: int) -> list[tuple[int, ...]]:
+def _perms(n: int, family: str, even: bool) -> list[tuple[int, ...]]:
+    """Permutations of 0..n-1 in lexicographic order, optionally only the
+    even ones (an even number of inversions)."""
     if not 2 <= n <= 6:
-        raise ValueError(f"symmetric group supported for 2 <= n <= 6, got {n}")
-    return sorted(itertools.permutations(range(n)))
-
-
-def _alternating_perms(n: int) -> list[tuple[int, ...]]:
-    if not 2 <= n <= 6:
-        raise ValueError(f"alternating group supported for 2 <= n <= 6, got {n}")
-    return [p for p in sorted(itertools.permutations(range(n))) if _perm_parity(p) == 0]
+        raise ValueError(f"{family} group supported for 2 <= n <= 6, got {n}")
+    perms = itertools.permutations(range(n))
+    parity = lambda p: sum(a > b for a, b in itertools.combinations(p, 2)) % 2
+    return [p for p in perms if not (even and parity(p))]
 
 
 def build_symmetric(n: int) -> FiniteGroup:
     """S_n on points 1..n; elements in lexicographic order, identity first."""
-    return _perm_group(_symmetric_perms(n), f"S{n}")
+    return _perm_group(_perms(n, "symmetric", even=False), f"S{n}")
 
 
 def build_alternating(n: int) -> FiniteGroup:
     """A_n on points 1..n; even permutations in lexicographic order."""
-    return _perm_group(_alternating_perms(n), f"A{n}")
+    return _perm_group(_perms(n, "alternating", even=True), f"A{n}")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with (a, b) stored at index a*|H| + b; componentwise product."""
     nh = h.order
-    order = g.order * nh
-    rows = []
-    for a in range(g.order):
-        ga = g.table[a]
-        for b in range(nh):
-            hb = h.table[b]
-            rows.append(
-                tuple(ga[c] * nh + hb[d] for c in range(g.order) for d in range(nh))
-            )
-    names = [
-        f"({na},{nb})" for na in g.element_names for nb in h.element_names
-    ]
+    names = [f"({na},{nb})" for na in g.element_names for nb in h.element_names]
     gens = [(name, idx * nh + h.identity) for name, idx in g.generators]
     taken = {name for name, _ in gens}
     for name, idx in h.generators:
@@ -413,65 +403,52 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
             name += "'"
         taken.add(name)
         gens.append((name, g.identity * nh + idx))
-    return _finalize(order, rows, names, gens, f"{g.label} x {h.label}")
+    return _finalize(
+        g.order * nh,
+        lambda u, v: g.table[u // nh, v // nh].astype(np.intp) * nh + h.table[u % nh, v % nh],
+        names, gens, f"{g.label} x {h.label}",
+    )
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (spec ops that are not plain table lookups)
-
-
-def commutator(g: FiniteGroup, x: int, y: int) -> int:
-    return g.commutator(x, y)
-
-
-def conjugate(g: FiniteGroup, x: int, y: int) -> int:
-    return g.conjugate(x, y)
-
-
-def element_order(g: FiniteGroup, x: int) -> int:
-    return g.element_order(x)
+# structure
 
 
 def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
     """Closure of the seed set under products (inverses come free in a finite
     group)."""
-    members = {g.identity}
-    frontier = [g.identity]
-    seeds = sorted(set(seeds))
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in seeds:
-                t = g.table[w][s]
-                if t not in members:
-                    members.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return Subgroup(g, tuple(sorted(members)))
+    seeds = np.unique(np.fromiter(seeds, dtype=np.intp))
+    inside = np.arange(g.order) == g.identity
+    frontier = np.array([g.identity])
+    while frontier.size:
+        reached = np.zeros_like(inside)
+        for rows in _blocks(len(frontier), len(seeds)):
+            reached[g.table[np.ix_(frontier[rows], seeds)]] = True
+        frontier = np.flatnonzero(reached & ~inside)
+        inside[frontier] = True
+    return _subgroup(g, inside)
 
 
 def center(g: FiniteGroup) -> Subgroup:
-    t = g.table
-    members = [
-        z for z in range(g.order) if all(t[z][x] == t[x][z] for x in range(g.order))
-    ]
-    return Subgroup(g, tuple(members))
+    return _subgroup(g, (commutator_map(g) == g.identity).all(axis=1))
 
 
 def upper_central_series(g: FiniteGroup) -> list[Subgroup]:
-    """Z_0 = 1 <= Z_1 = Z(G) <= ... up to (and including) the stable term."""
-    series = [Subgroup(g, (g.identity,))]
-    current = {g.identity}
+    """Z_0 = 1 <= Z_1 = Z(G) <= ... up to (and including) the stable term.
+
+    x lies in Z_{i+1} iff every [a, x] (row x of the commutator map) lies
+    in Z_i."""
+    c = commutator_map(g)
+    inside = np.arange(g.order) == g.identity
+    series = [_subgroup(g, inside)]
     while True:
-        nxt = {
-            x
-            for x in range(g.order)
-            if all(g.commutator(x, a) in current for a in range(g.order))
-        }
-        if nxt == current:
+        nxt = np.empty_like(inside)
+        for rows in _blocks(g.order, g.order):
+            nxt[rows] = inside[c[rows]].all(axis=1)
+        if np.array_equal(nxt, inside):
             return series
-        current = nxt
-        series.append(Subgroup(g, tuple(sorted(nxt))))
+        inside = nxt
+        series.append(_subgroup(g, inside))
 
 
 def hypercenter(g: FiniteGroup) -> Subgroup:
@@ -483,12 +460,15 @@ def is_nilpotent(g: FiniteGroup) -> bool:
 
 
 def derived_series(g: FiniteGroup) -> list[Subgroup]:
+    c = commutator_map(g)
     series = [Subgroup(g, tuple(range(g.order)))]
     while True:
-        cur = series[-1].members
-        comms = {g.commutator(a, b) for a in cur for b in cur}
-        nxt = subgroup_generated(g, comms)
-        if nxt.members == cur:
+        cur = np.array(series[-1].members, dtype=np.intp)
+        comms = np.zeros(g.order, dtype=bool)
+        for rows in _blocks(len(cur), len(cur)):
+            comms[c[np.ix_(cur[rows], cur)]] = True
+        nxt = subgroup_generated(g, np.flatnonzero(comms))
+        if nxt.members == series[-1].members:
             return series
         series.append(nxt)
 
@@ -498,28 +478,49 @@ def is_soluble(g: FiniteGroup) -> bool:
 
 
 def is_normal(g: FiniteGroup, s: Subgroup | Iterable[int]) -> bool:
-    members = frozenset(s.members if isinstance(s, Subgroup) else s)
-    return all(
-        g.conjugate(x, a) in members for x in members for a in range(g.order)
-    )
+    members = np.array(sorted(set(s.members if isinstance(s, Subgroup) else s)), dtype=np.intp)
+    inside = np.isin(np.arange(g.order), members)
+    t, a = g.table, np.arange(g.order)
+    for rows in _blocks(len(members), g.order):
+        x = members[rows, None]
+        if not inside[t[t[g.inverse[None, :], x], a[None, :]]].all():
+            return False
+    return True
+
+
+def normal_cyclic_subgroups(g: FiniteGroup) -> np.ndarray:
+    """n x n bool: row x marks the members of <x> where <x> is normal and is
+    all False where it is not."""
+    x = np.arange(g.order)
+    cyclic = np.zeros((g.order, g.order), dtype=bool)
+    power = np.full(g.order, g.identity)
+    for _ in range(int(element_orders(g).max())):
+        cyclic[x, power] = True
+        power = g.table[power, x]
+    # <x> is normal iff every conjugate x^a = x [x, a] lies in <x>
+    c = commutator_map(g)
+    for rows in _blocks(g.order, g.order):
+        xs = x[rows, None]
+        cyclic[rows] &= cyclic[xs, g.table[xs, c[:, rows].T]].all(axis=1, keepdims=True)
+    return cyclic
+
+
+def cosets(g: FiniteGroup, s: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, coset_of): the least elements of the cosets aS, ascending, and
+    for each element a the index in reps of its coset."""
+    least = g.table[:, list(s.members)].min(axis=1)
+    reps = np.unique(least)
+    return reps, np.searchsorted(reps, least)
 
 
 def quotient_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
     """G/S for normal S; cosets are indexed by ascending minimal representative."""
     if not is_normal(g, s):
         raise ValueError("cannot form quotient by a non-normal subgroup")
-    coset_of = [None] * g.order
-    reps = []
-    for a in range(g.order):
-        if coset_of[a] is None:
-            for m in s.members:
-                coset_of[g.table[a][m]] = len(reps)
-            reps.append(a)
-    rows = [
-        tuple(coset_of[g.table[a][b]] for b in reps) for a in reps
-    ]
+    reps, coset_of = cosets(g, s)
     names = [f"[{g.element_names[a]}]" for a in reps]
-    return _finalize(len(reps), rows, names, (), f"{g.label}/|{s.size}|")
+    product = lambda u, v: coset_of[g.table[reps[u], reps[v]]]
+    return _finalize(len(reps), product, names, (), f"{g.label}/|{s.size}|")
 
 
 def _minimal_generating_sequence(g: FiniteGroup) -> list[int]:
@@ -605,7 +606,7 @@ def validate_group(
     sampled with >= 10^4 random triples above that unless forced.
     """
     n = g.order
-    t = np.array(g.table, dtype=np.int64)
+    t = g.table
     if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
         raise ValueError(f"{g.label}: table is not an {n}x{n} index table")
     ref = np.arange(n)
@@ -615,7 +616,7 @@ def validate_group(
     e = g.identity
     if not (np.array_equal(t[e], ref) and np.array_equal(t[:, e], ref)):
         raise ValueError(f"{g.label}: identity axiom fails")
-    inv = np.array(g.inverse, dtype=np.int64)
+    inv = g.inverse
     if not (np.all(t[ref, inv] == e) and np.all(t[inv, ref] == e)):
         raise ValueError(f"{g.label}: inverse axiom fails")
     if n <= EXHAUSTIVE_ASSOCIATIVITY_LIMIT or force_exhaustive:
@@ -625,10 +626,8 @@ def validate_group(
             raise ValueError(f"{g.label}: associativity fails")
     else:
         rng = random.Random(seed)
-        idx = [
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(ASSOCIATIVITY_SAMPLES)
-        ]
-        i, j, k = (np.array(v, dtype=np.int64) for v in zip(*idx))
+        i, j, k = np.array(
+            [[rng.randrange(n) for _ in range(3)] for _ in range(ASSOCIATIVITY_SAMPLES)]
+        ).T
         if not np.array_equal(t[t[i, j], k], t[i, t[j, k]]):
             raise ValueError(f"{g.label}: associativity fails (sampled)")

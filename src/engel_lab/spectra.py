@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -108,6 +108,15 @@ class IntegerSpectrum:
 
     def to_json_obj(self) -> list[list[int]]:
         return [[v, m] for v, m in self.roots]
+
+    @classmethod
+    def merged(cls, entries: Iterable[tuple[int, int]]) -> "IntegerSpectrum":
+        """(value, multiplicity) entries, repeats summed and zeros dropped."""
+        acc: dict[int, int] = {}
+        for value, mult in entries:
+            if mult > 0:
+                acc[value] = acc.get(value, 0) + mult
+        return cls(tuple(sorted(acc.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -504,13 +513,7 @@ def closed_form_spectra(shape: MultipartiteShape) -> SpectrumReport:
     n = a * b
     e = a * (a - 1) * b * b // 2
 
-    def merged(entries: list[tuple[int, int]]) -> IntegerSpectrum:
-        acc: dict[int, int] = {}
-        for value, mult in entries:
-            if mult > 0:
-                acc[value] = acc.get(value, 0) + mult
-        return IntegerSpectrum(tuple(sorted(acc.items())))
-
+    merged = IntegerSpectrum.merged
     adj = merged([(-b, a - 1), (0, a * (b - 1)), (b * (a - 1), 1)])
     lap = merged([(0, 1), (b * (a - 1), a * (b - 1)), (a * b, a - 1)])
     sig = merged(

@@ -14,10 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 from . import engel, topology
 from .analysis import clique_number, recognize_complete_multipartite, is_planar, verify_biclique
-from .groups import FiniteGroup, is_nilpotent, is_soluble, subgroup_generated
-from .spectra import closed_form_spectra, spectrum_report
+from .groups import (
+    FiniteGroup,
+    commutator_map,
+    element_orders,
+    is_nilpotent,
+    is_soluble,
+    subgroup_generated,
+)
+from .spectra import IntegerSpectrum, closed_form_spectra, spectrum_report
 from .specs import GroupSpec, build_group, parse_group_spec
 
 SWEEP_TM = tuple((t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9))
@@ -86,10 +95,6 @@ def _ceil_div(a: int, b: int) -> int:
 def _shape_parts(g: FiniteGroup) -> Optional[list[int]]:
     shape = recognize_complete_multipartite(engel.reduced_co_engel_graph(g))
     return None if shape is None else list(shape.parts)
-
-
-def _is_pow2(k: int) -> bool:
-    return k >= 1 and (k & (k - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +168,9 @@ def _left_engel_computed(spec: str, expected_members_of) -> dict:
     except ValueError:
         baer = False
     return {
-        "members": sorted(lset),
         "matches": sorted(lset) == expected_members_of(g),
         "baer_valid": baer,
+        "size": len(lset),
     }
 
 
@@ -184,14 +189,7 @@ def _claims_left_engel() -> Iterable[Claim]:
                 "left-engel",
                 spec,
                 {"matches": True, "baer_valid": True, "size": order // 2},
-                lambda s=spec, o=order: {
-                    **{
-                        k: v
-                        for k, v in _left_engel_computed(s, gen_subgroup("y")).items()
-                        if k != "members"
-                    },
-                    "size": len(engel.left_engel_set(build_group(s))),
-                },
+                lambda s=spec: _left_engel_computed(s, gen_subgroup("y")),
             )
     for p, q in SWEEP_PQ:
         spec = f"F:{p}:{q}"
@@ -199,14 +197,7 @@ def _claims_left_engel() -> Iterable[Claim]:
             "left-engel",
             spec,
             {"matches": True, "baer_valid": True, "size": q},
-            lambda s=spec: {
-                **{
-                    k: v
-                    for k, v in _left_engel_computed(s, gen_subgroup("b")).items()
-                    if k != "members"
-                },
-                "size": len(engel.left_engel_set(build_group(s))),
-            },
+            lambda s=spec: _left_engel_computed(s, gen_subgroup("b")),
         )
 
     def s4_expected_members(g: FiniteGroup) -> list[int]:
@@ -217,14 +208,7 @@ def _claims_left_engel() -> Iterable[Claim]:
         "left-engel",
         "S:4",
         {"matches": True, "baer_valid": True, "size": 4},
-        lambda: {
-            **{
-                k: v
-                for k, v in _left_engel_computed("S:4", s4_expected_members).items()
-                if k != "members"
-            },
-            "size": len(engel.left_engel_set(build_group("S:4"))),
-        },
+        lambda: _left_engel_computed("S:4", s4_expected_members),
     )
 
 
@@ -393,14 +377,6 @@ def _claims_projective() -> Iterable[Claim]:
     )
 
 
-def _merged_spec(entries: list[tuple[int, int]]) -> list[list[int]]:
-    acc: dict[int, int] = {}
-    for value, mult in entries:
-        if mult > 0:
-            acc[value] = acc.get(value, 0) + mult
-    return [[v, m] for v, m in sorted(acc.items())]
-
-
 def _energy_computed(spec: str) -> dict:
     g = build_group(spec)
     graph = engel.reduced_co_engel_graph(g)
@@ -439,9 +415,9 @@ def _energy_computed(spec: str) -> dict:
 
 def _energy_expected(spec_rows, lap_rows, sig_rows, energy: int) -> dict:
     return {
-        "spectrum": _merged_spec(spec_rows),
-        "laplacian_spectrum": _merged_spec(lap_rows),
-        "signless_spectrum": _merged_spec(sig_rows),
+        "spectrum": IntegerSpectrum.merged(spec_rows).to_json_obj(),
+        "laplacian_spectrum": IntegerSpectrum.merged(lap_rows).to_json_obj(),
+        "signless_spectrum": IntegerSpectrum.merged(sig_rows).to_json_obj(),
         "E": f"{energy}/1",
         "LE": f"{energy}/1",
         "LE+": f"{energy}/1",
@@ -527,30 +503,26 @@ def _claims_zagreb() -> Iterable[Claim]:
 
 
 def _dihedral_proposition_holds(g: FiniteGroup) -> bool:
-    """The three directed-graph bullets for D_2n, checked over all pairs."""
-    n = g.order // 2
-    d = engel.directed_engel_graph(g)
-    for a in range(g.order):
-        for b in range(g.order):
-            if a == b:
-                continue
-            fwd, bwd = d.has_arc(a, b), d.has_arc(b, a)
-            if a < n and b < n:
-                if not (fwd and bwd):
-                    return False
-            elif a < n <= b:
-                if not fwd:
-                    return False
-                want = _is_pow2(g.element_order(g.commutator(b, a)))
-                if bwd != want:
-                    return False
-            elif b < n <= a:
-                pass  # covered by the symmetric (a < n <= b) visit
-            else:
-                want = _is_pow2(g.element_order(g.mul(a, b)))
-                if (fwd and bwd) != want or (fwd != bwd):
-                    return False
-    return True
+    """The three directed-graph bullets for D_2n, checked over all pairs:
+    rotations a, b have arcs both ways; from a rotation a to a reflection b
+    there is an arc, and one back iff |[b, a]| is a power of 2; between
+    reflections there are arcs both ways iff |ab| is a power of 2, and
+    otherwise none."""
+    arc = engel.engel_relation(g).T  # arc[a, b]: a -> b, off the diagonal
+    orders = element_orders(g)
+    pow2 = (orders & (orders - 1)) == 0
+    rot = np.arange(g.order) < g.order // 2
+    off = ~np.eye(g.order, dtype=bool)
+    both = arc & arc.T
+    rot_ref = rot[:, None] & ~rot[None, :]
+    ref_ref = ~rot[:, None] & ~rot[None, :] & off
+    return bool(
+        both[rot[:, None] & rot[None, :] & off].all()
+        and arc[rot_ref].all()
+        and (arc.T == pow2[commutator_map(g)])[rot_ref].all()  # [b, a] = c[a, b]
+        and (both == pow2[g.table])[ref_ref].all()
+        and (arc == arc.T)[ref_ref].all()
+    )
 
 
 def _claims_directed() -> Iterable[Claim]:
@@ -604,11 +576,9 @@ def _claims_directed() -> Iterable[Claim]:
 
     def s4_singles() -> dict:
         g = build_group("S:4")
-        arcs = engel.single_arcs_outside_left_engel(g)
-        pattern = all(
-            g.element_order(x) == 3 and g.element_order(y) == 2 for x, y in arcs
-        )
-        return {"nonempty": len(arcs) > 0, "order_3_to_2": pattern}
+        arcs = np.array(engel.single_arcs_outside_left_engel(g), dtype=np.intp)
+        pattern = (element_orders(g)[arcs.reshape(-1, 2)] == (3, 2)).all()
+        return {"nonempty": len(arcs) > 0, "order_3_to_2": bool(pattern)}
 
     yield Claim(
         "directed-single-arcs",

@@ -1,5 +1,6 @@
 """Engel-core: verdicts, left Engel sets, co-Engel and directed graphs."""
 
+import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,46 @@ def test_left_engel_baer_validation(spec):
     assert el.is_soluble(g) and g.order <= 300
     sub = validate_left_engel_baer(g)
     assert set(sub.members) == set(el.left_engel_set(g))
+
+
+def _baer_witness_by_definition(g, members):
+    """The coset walk written out: the least x of each coset of L outside L,
+    and the first whose <L, x> is normal and nilpotent (a proper subgroup
+    unless G is nilpotent), by name; None if there is none."""
+    seen, g_nilpotent = set(members), el.is_nilpotent(g)
+    for x in range(g.order):
+        if x in seen:
+            continue
+        seen.update(g.mul(x, m) for m in members)
+        bigger = el.subgroup_generated(g, [*members, x])
+        if bigger.size == g.order and not g_nilpotent:
+            continue
+        if el.is_normal(g, bigger) and el.is_nilpotent(bigger.as_group()):
+            return g.element_names[x]
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["D:12", "D:16", "D:24", "Q:16", "Q:24", "C:12", "S:4", "A:4", "F:3:7",
+     "P:(C:2)x(D:12)", "P:(C:3)x(S:3)"],
+)
+def test_baer_walk_matches_definition_on_smaller_candidates(spec, monkeypatch):
+    # Stand in for L(G) every term of the upper central series and every
+    # normal cyclic subgroup: the walk must name the witness the definition
+    # names.
+    g = el.build_group(spec)
+    cyclic = {el.subgroup_generated(g, [x]).members for x in range(g.order)}
+    candidates = {z.members for z in el.upper_central_series(g)}
+    candidates |= {m for m in cyclic if el.is_normal(g, m)}
+    for members in sorted(candidates):
+        want = _baer_witness_by_definition(g, members)
+        monkeypatch.setattr(engel, "left_engel_set", lambda h, m=members: frozenset(m))
+        if want is None:
+            assert validate_left_engel_baer(g).members == members
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"<L, {want}> is normal nilpotent")):
+                validate_left_engel_baer(g)
 
 
 def test_left_engel_product_law():

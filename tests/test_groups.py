@@ -1,11 +1,21 @@
 """Group-core: builders, axioms, commutator machinery, series, isomorphism."""
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
-from engel_lab.groups import derived_series, are_isomorphic_small, from_table
+from engel_lab import groups
+from engel_lab.groups import (
+    are_isomorphic_small,
+    default_frobenius_residue,
+    derived_series,
+    from_table,
+)
+from engel_lab.verify import _soluble_catalog
 
 import oracles
 
@@ -33,7 +43,7 @@ def test_validate_rejects_broken_table():
     rows = [list(r) for r in g.table]
     rows[1][2] = 1  # break the Latin property
     broken = from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    object.__setattr__(broken, "table", tuple(tuple(r) for r in rows))
+    object.__setattr__(broken, "table", np.array(rows))
     with pytest.raises(ValueError):
         el.validate_group(broken)
 
@@ -164,7 +174,7 @@ def test_frobenius_rejects_bad_parameters():
 
 
 def test_frobenius_default_residue_is_smallest():
-    assert el.build_frobenius(3, 7).table == el.build_frobenius(3, 7, 2).table
+    assert np.array_equal(el.build_frobenius(3, 7).table, el.build_frobenius(3, 7, 2).table)
     from engel_lab.groups import default_frobenius_residue
 
     assert default_frobenius_residue(2, 7) == 6
@@ -420,9 +430,9 @@ def test_group_cache_roundtrip_table(data):
     rebuilt = from_table(
         [list(r) for r in g.table], g.element_names, g.generators, g.label
     )
-    assert rebuilt.table == g.table
+    assert np.array_equal(rebuilt.table, g.table)
     assert rebuilt.identity == g.identity
-    assert rebuilt.inverse == g.inverse
+    assert np.array_equal(rebuilt.inverse, g.inverse)
 
 
 def test_oracle_cross_check_dihedral_table():
@@ -445,3 +455,127 @@ def test_oracle_cross_check_frobenius_table():
     for a in range(21):
         for b in range(21):
             assert g.mul(a, b) == to_idx(model.mul(to_pair(a), to_pair(b)))
+
+
+# --- array tables against the tuple-based model groups
+
+
+def _model(spec):
+    """The oracle model of a spec; its element list is in the package's index
+    order (pairs (r, a) at r*half + a, permutations sorted, products nested
+    the same way)."""
+    s = el.parse_group_spec(spec) if isinstance(spec, str) else spec
+    if s.family == "P":
+        return functools.reduce(oracles.model_product, map(_model, s.factors))
+    if s.family == "F":
+        p, q, *r = s.params
+        return oracles.model_frobenius(p, q, r[0] if r else default_frobenius_residue(p, q))
+    build = {
+        "C": oracles.model_cyclic, "D": oracles.model_dihedral,
+        "Q": oracles.model_quaternion, "S": oracles.model_symmetric,
+        "A": oracles.model_alternating,
+    }
+    return build[s.family](*s.params)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["C:12", "Q:24", "S:4", "S:5", "A:4", "A:5", "F:3:13:9", "F:5:11:4", "P:(S:3)x(Q:8)"],
+)
+def test_builder_matches_model_group(spec):
+    g = el.build_group(spec)
+    model = _model(spec)
+    index = {x: i for i, x in enumerate(model.elements)}
+    want = [[index[model.mul(x, y)] for y in model.elements] for x in model.elements]
+    assert g.table.dtype == np.min_scalar_type(g.order)
+    assert np.array_equal(g.table, want)
+    assert g.identity == index[model.identity]
+    assert np.array_equal(g.inverse, [index[model.inv(x)] for x in model.elements])
+    # the same table when its rows are filled three at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_BLOCK_ENTRIES", 3 * g.order)
+        assert np.array_equal(el.specs._build_cached.__wrapped__(spec).table, g.table)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_structure(spec):
+    model = _model(spec)
+    index = {x: i for i, x in enumerate(model.elements)}
+
+    def members(xs):
+        return sorted(index[x] for x in xs)
+
+    return {
+        "center": members(model.center()),
+        "upper_central_series": [members(z) for z in model.upper_central_series()],
+        "order_census": model.order_census(),
+        "left_engel_set": members(model.left_engel_set()),
+    }
+
+
+def _structure(g):
+    return {
+        "center": list(el.center(g).members),
+        "upper_central_series": [list(z.members) for z in el.upper_central_series(g)],
+        "order_census": g.order_census(),
+        "left_engel_set": sorted(el.left_engel_set(g)),
+    }
+
+
+def _is_normal_by_definition(g, sub):
+    return all(g.conjugate(x, a) in sub for x in sub.members for a in range(g.order))
+
+
+@given(spec=st.sampled_from(_soluble_catalog(48) + ["A:5", "S:5"]), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_structure_matches_model_group(spec, data):
+    g = el.build_group(spec)
+    x = data.draw(st.integers(min_value=0, max_value=g.order - 1))
+    want = _model_structure(spec)
+    candidates = (
+        el.subgroup_generated(g, [x]),
+        el.center(g),
+        derived_series(g)[-1],
+        el.Subgroup(g, tuple(sorted({g.identity, x}))),
+    )
+    normal = [_is_normal_by_definition(g, s) for s in candidates]
+    assert _structure(g) == want
+    assert [el.is_normal(g, s) for s in candidates] == normal
+    # the same answers when the row blocks are three rows long
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_BLOCK_ENTRIES", 3 * g.order)
+        assert np.array_equal(groups.commutator_map.__wrapped__(g), groups.commutator_map(g))
+        assert _structure(g) == want
+        assert [el.is_normal(g, s) for s in candidates] == normal
+
+
+def test_table_and_inverse_are_read_only():
+    g = el.build_group("D:12")
+    with pytest.raises(ValueError):
+        g.table[0, 0] = 1
+    with pytest.raises(ValueError):
+        g.inverse[0] = 1
+
+
+@pytest.mark.parametrize("n", [3, 255])
+@pytest.mark.parametrize("offset", [-1, 0])  # entry -1, entry n
+def test_from_table_rejects_out_of_range_entries(n, offset):
+    # at n = 255 the table narrows to uint8, where -1 and 256 would wrap
+    rows = el.build_cyclic(n).table.astype(int)
+    rows[n - 1, n - 1] = n if offset == 0 else -1
+    with pytest.raises(ValueError):
+        from_table(rows)
+    with pytest.raises(ValueError):
+        from_table(rows.tolist())
+
+
+def test_scalar_accessors_return_python_ints():
+    g = el.build_group("S:4")
+    values = [
+        g.identity, g.mul(3, 5), g.inv(3), g.commutator(3, 5), g.conjugate(3, 5),
+        g.element_order(3), *g.order_census().items(),
+        *el.center(g).members, *el.hypercenter(g).members,
+        *el.subgroup_generated(g, [3, 5]).members, *derived_series(g)[1].members,
+    ]
+    flat = [v for item in values for v in (item if isinstance(item, tuple) else (item,))]
+    assert all(type(v) is int for v in flat)
