@@ -91,7 +91,7 @@ def cmd_graph(args) -> int:
     if args.format == "dot":
         sys.stdout.write(graph.to_dot(g.label))
     else:
-        sys.stdout.write(_dump_json(graph.to_json_obj()))
+        sys.stdout.write(graph.to_json())
     return 0
 
 

@@ -19,16 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import DirectedGraph, SimpleGraph
+from .graphs import DirectedGraph, SimpleGraph, bit_rows, pair_list
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _is_prime,
     commutator_map,
-    cosets,
     is_nilpotent,
     is_normal,
-    normal_cyclic_subgroups,
-    quotient_group,
     subgroup_generated,
 )
 # the doubling steps gather on the same row blocks as the commutator map
@@ -96,12 +94,6 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
     return reaches.T
 
 
-def _bit_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Bitmask rows of a bool matrix, bit j = column j."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 @lru_cache(maxsize=256)
 def left_engel_set(g: FiniteGroup) -> frozenset[int]:
     """L(G) = {x : every Engel sequence [a, _k x] reaches the identity}."""
@@ -123,13 +115,16 @@ def left_engel_subgroup(g: FiniteGroup) -> Subgroup:
 
 
 def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
-    """Check L(G) is the Fitting subgroup: a normal nilpotent subgroup such
-    that no strictly larger candidate <L(G), x> is normal and nilpotent.
+    """Check L(G) is the Fitting subgroup: a normal nilpotent subgroup with
+    no strictly larger normal nilpotent subgroup.
 
-    One candidate x per coset of L(G) suffices, since <L, x> = <L, xl>; and
-    as L is normal, <L, x> / L = <xL>, so <L, x> is normal iff the cyclic
-    subgroup <xL> of G/L is.  Raises ValueError with the offending witness
-    on failure.
+    If L < F(G), then F/L is a non-trivial normal nilpotent subgroup of G/L,
+    so it holds some xL of prime order, and the normal closure
+    N = <L, x^G> of that x lies in F and is nilpotent.  So it suffices to
+    form N for every x outside L whose coset has prime order in G/L, once
+    per conjugacy class of G/L (N is the same for all of x^G L), skipping
+    N = G when G is not nilpotent.  Raises ValueError naming the least x
+    whose N is nilpotent.
     """
     sub = left_engel_subgroup(g)
     if not is_normal(g, sub):
@@ -137,17 +132,31 @@ def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
     if not is_nilpotent(sub.as_group()):
         raise ValueError(f"L({g.label}) is not nilpotent")
     g_nilpotent = is_nilpotent(g)
-    reps, _ = cosets(g, sub)  # element i of G/L is the coset of reps[i]
-    q = quotient_group(g, sub)
-    normal = normal_cyclic_subgroups(q)
-    for i in np.flatnonzero(normal.any(axis=1)).tolist():
-        if i == q.identity or (normal[i].all() and not g_nilpotent):
+    members = list(sub.members)
+    seen = np.zeros(g.order, dtype=bool)
+    seen[members] = True
+    # order of every coset xL in G/L: the least k >= 1 with x^k in L
+    elements = np.arange(g.order)
+    coset_order = np.zeros(g.order, dtype=np.intp)
+    power, k = elements, 1
+    while not coset_order.all():
+        coset_order[(coset_order == 0) & seen[power]] = k
+        power, k = g.table[power, elements], k + 1
+    c = commutator_map(g)
+    for x in range(g.order):
+        if seen[x]:
             continue
-        x = int(reps[i])
-        if is_nilpotent(subgroup_generated(g, [*sub.members, x]).as_group()):
+        conjugates = np.unique(g.table[x, c[:, x]])  # x^a = x [x, a]
+        seen[g.table[np.ix_(conjugates, members)]] = True
+        if not _is_prime(int(coset_order[x])):
+            continue
+        closure = subgroup_generated(g, [*members, *conjugates.tolist()])
+        if closure.size == g.order and not g_nilpotent:
+            continue
+        if is_nilpotent(closure.as_group()):
             raise ValueError(
-                f"L({g.label}) is not maximal: <L, {g.element_names[x]}> is "
-                "normal nilpotent"
+                f"L({g.label}) is not maximal: the normal closure of "
+                f"<L, {g.element_names[x]}> is nilpotent"
             )
     return sub
 
@@ -161,7 +170,7 @@ def _co_engel_matrix(g: FiniteGroup) -> np.ndarray:
 def co_engel_graph(g: FiniteGroup) -> SimpleGraph:
     """Full co-Engel graph on all of G: x ~ y iff neither Engel sequence
     ([x,_k y] or [y,_k x]) ever reaches the identity."""
-    return SimpleGraph(g.order, _bit_rows(_co_engel_matrix(g)), labels=g.element_names)
+    return SimpleGraph(g.order, bit_rows(_co_engel_matrix(g)), labels=g.element_names)
 
 
 @lru_cache(maxsize=128)
@@ -175,7 +184,7 @@ def reduced_co_engel_graph(g: FiniteGroup) -> SimpleGraph:
         )
     adj = _co_engel_matrix(g)[np.ix_(kept, kept)]
     labels = tuple(g.element_names[e] for e in kept)
-    return SimpleGraph(len(kept), _bit_rows(adj), labels=labels)
+    return SimpleGraph(len(kept), bit_rows(adj), labels=labels)
 
 
 @lru_cache(maxsize=128)
@@ -183,24 +192,18 @@ def directed_engel_graph(g: FiniteGroup) -> DirectedGraph:
     """Arc x -> y iff [y, _k x] = 1 for some k (x != y)."""
     arcs = engel_relation(g).T.copy()
     np.fill_diagonal(arcs, False)
-    return DirectedGraph(g.order, _bit_rows(arcs), labels=g.element_names)
+    return DirectedGraph(g.order, bit_rows(arcs), labels=g.element_names)
 
 
 def single_arc_pairs(d: DirectedGraph) -> list[tuple[int, int]]:
     """All (x, y) with x -> y but not y -> x, in lexicographic order."""
-    out = []
-    for x in range(d.n):
-        row = d.out_rows[x]
-        for y in range(d.n):
-            if row & (1 << y) and not d.out_rows[y] & (1 << x):
-                out.append((x, y))
-    return out
+    m = d.matrix()
+    return pair_list(np.nonzero(m & ~m.T))
 
 
 def single_arcs_outside_left_engel(g: FiniteGroup) -> list[tuple[int, int]]:
     """Single arcs of the directed Engel graph with both ends outside L(G)."""
-    lset = left_engel_set(g)
-    d = directed_engel_graph(g)
-    return [
-        (x, y) for x, y in single_arc_pairs(d) if x not in lset and y not in lset
-    ]
+    outside = np.ones(g.order, dtype=bool)
+    outside[list(left_engel_set(g))] = False
+    m = directed_engel_graph(g).matrix()
+    return pair_list(np.nonzero(m & ~m.T & outside[:, None] & outside[None, :]))

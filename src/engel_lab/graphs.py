@@ -1,13 +1,21 @@
 """Undirected and directed graphs on vertex indices, with bitmask adjacency rows.
 
-Exports the DOT and JSON wire formats; JSON edge lists are always sorted
-lexicographically so serialised output is byte-reproducible.
+Both classes read their edges from one enumeration: the bitmask rows are
+unpacked into a bool matrix and ``np.nonzero`` lists its pairs in row-major,
+i.e. lexicographic, order (upper triangle only for undirected graphs).  The
+DOT and JSON wire formats are written from that list, so serialised output
+is byte-reproducible; ``to_json`` is the text of ``json.dumps`` of
+``to_json_obj`` with ``sort_keys=True, indent=2``, plus a newline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
+
+_JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
 
 
 def _bitrows_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool):
@@ -23,13 +31,69 @@ def _bitrows_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: boo
     return tuple(rows)
 
 
+def bit_rows(adj: np.ndarray) -> tuple[int, ...]:
+    """Bitmask rows of a bool matrix, bit j = column j."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def bool_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """The n x n bool matrix of bitmask rows (the inverse of ``bit_rows``)."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(
+        packed.reshape(n, width), axis=1, count=n, bitorder="little"
+    ).view(bool)
+
+
+def pair_list(index: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
+    """Index arrays (i, j), as from ``np.nonzero``, as a list of int pairs."""
+    i, j = index
+    return list(zip(i.tolist(), j.tolist()))
+
+
+class _Exports:
+    """Label lookup and the DOT and JSON writers shared by both graph classes;
+    a subclass has ``n`` and ``labels`` and provides ``pair_arrays()`` and
+    ``_DOT``, its DOT keyword and edge operator."""
+
+    def _flat_pairs(self) -> list[int]:
+        """i0, j0, i1, j1, ... over the lexicographic pair list; entries are
+        shared, one int object per vertex."""
+        vertex = np.arange(self.n).astype(object)
+        return vertex[np.column_stack(self.pair_arrays()).ravel()].tolist()
+
+    def label_of(self, i: int) -> str:
+        return self.labels[i] if self.labels is not None else str(i)
+
+    def to_json_obj(self) -> dict:
+        return {"n": self.n, "edges": np.column_stack(self.pair_arrays()).tolist()}
+
+    def to_json(self) -> str:
+        args = (*self._flat_pairs(), self.n)
+        if len(args) == 1:
+            return '{\n  "edges": [],\n  "n": %d\n}\n' % args
+        # the template is built in one piece and the joined pairs freed before
+        # the final format, so at most one copy of it is alive beside the text
+        pairs = [_JSON_PAIR] * (len(args) // 2)
+        return ('{\n  "edges": [\n%s\n  ],\n  "n": %%d\n}\n' % ",\n".join(pairs)) % args
+
+    def to_dot(self, name: str = "G") -> str:
+        keyword, op = self._DOT
+        flat = self._flat_pairs()
+        vertices = "".join(f'  {i} [label="{self.label_of(i)}"];\n' for i in range(self.n))
+        edges = (f"  %d {op} %d;\n" * (len(flat) // 2)) % tuple(flat)
+        return f'{keyword} "{name}" {{\n{vertices}{edges}}}\n'
+
+
 @dataclass(frozen=True, eq=False)
-class SimpleGraph:
+class SimpleGraph(_Exports):
     """Loop-free undirected graph; ``rows[i]`` is the neighbour bitmask of i."""
 
     n: int
     rows: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
+    _DOT = ("graph", "--")
 
     @classmethod
     def from_edges(
@@ -60,64 +124,38 @@ class SimpleGraph:
     def n_edges(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
+    def matrix(self) -> np.ndarray:
+        return bool_matrix(self.rows, self.n)
+
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j), i < j, of the edges in lexicographic order."""
+        return np.nonzero(np.triu(self.matrix(), 1))
+
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            row = self.rows[i] >> (i + 1)
-            j = i + 1
-            while row:
-                if row & 1:
-                    out.append((i, j))
-                row >>= 1
-                j += 1
-        return out
+        return pair_list(self.pair_arrays())
 
     def n_components(self) -> int:
-        seen = 0
-        count = 0
-        for v in range(self.n):
-            if seen & (1 << v):
-                continue
+        unseen, count = (1 << self.n) - 1, 0
+        while unseen:
             count += 1
-            frontier = 1 << v
-            comp = frontier
-            while frontier:
-                nxt = 0
-                f = frontier
-                v2 = 0
-                while f:
-                    if f & 1:
-                        nxt |= self.rows[v2]
-                    f >>= 1
-                    v2 += 1
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
+            comp = frontier = unseen & -unseen
+            while frontier:  # grow comp one vertex of the frontier at a time
+                v = frontier.bit_length() - 1
+                new = self.rows[v] & ~comp
+                comp |= new
+                frontier = (frontier ^ (1 << v)) | new
+            unseen &= ~comp
         return count
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": [[i, j] for i, j in self.edges()]}
-
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f'graph "{name}" {{']
-        for i in range(self.n):
-            lines.append(f'  {i} [label="{self.label_of(i)}"];')
-        for i, j in self.edges():
-            lines.append(f"  {i} -- {j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
-class DirectedGraph:
+class DirectedGraph(_Exports):
     """Loop-free directed graph; ``out_rows[i]`` is the out-neighbour bitmask."""
 
     n: int
     out_rows: tuple[int, ...]
     labels: Optional[tuple[str, ...]] = None
+    _DOT = ("digraph", "->")
 
     @classmethod
     def from_arcs(
@@ -132,17 +170,15 @@ class DirectedGraph:
     def n_arcs(self) -> int:
         return sum(r.bit_count() for r in self.out_rows)
 
+    def matrix(self) -> np.ndarray:
+        return bool_matrix(self.out_rows, self.n)
+
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j) of the arcs in lexicographic order."""
+        return np.nonzero(self.matrix())
+
     def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            row = self.out_rows[i]
-            j = 0
-            while row:
-                if row & 1:
-                    out.append((i, j))
-                row >>= 1
-                j += 1
-        return out
+        return pair_list(self.pair_arrays())
 
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
@@ -150,35 +186,11 @@ class DirectedGraph:
             self.out_rows[i] == full ^ (1 << i) for i in range(self.n)
         )
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": [[i, j] for i, j in self.arcs()]}
-
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f'digraph "{name}" {{']
-        for i in range(self.n):
-            lines.append(f'  {i} [label="{self.label_of(i)}"];')
-        for i, j in self.arcs():
-            lines.append(f"  {i} -> {j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
     """K_{n_1,...,n_k}: independent parts, all cross-part pairs joined."""
     sizes = list(parts)
     if any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
-    n = sum(sizes)
-    part_of = []
-    for p, s in enumerate(sizes):
-        part_of.extend([p] * s)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if part_of[i] != part_of[j]
-    ]
-    return SimpleGraph.from_edges(n, edges)
+    part_of = np.repeat(np.arange(len(sizes)), sizes)
+    return SimpleGraph(len(part_of), bit_rows(part_of[:, None] != part_of[None, :]))

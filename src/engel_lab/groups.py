@@ -488,23 +488,6 @@ def is_normal(g: FiniteGroup, s: Subgroup | Iterable[int]) -> bool:
     return True
 
 
-def normal_cyclic_subgroups(g: FiniteGroup) -> np.ndarray:
-    """n x n bool: row x marks the members of <x> where <x> is normal and is
-    all False where it is not."""
-    x = np.arange(g.order)
-    cyclic = np.zeros((g.order, g.order), dtype=bool)
-    power = np.full(g.order, g.identity)
-    for _ in range(int(element_orders(g).max())):
-        cyclic[x, power] = True
-        power = g.table[power, x]
-    # <x> is normal iff every conjugate x^a = x [x, a] lies in <x>
-    c = commutator_map(g)
-    for rows in _blocks(g.order, g.order):
-        xs = x[rows, None]
-        cyclic[rows] &= cyclic[xs, g.table[xs, c[:, rows].T]].all(axis=1, keepdims=True)
-    return cyclic
-
-
 def cosets(g: FiniteGroup, s: Subgroup) -> tuple[np.ndarray, np.ndarray]:
     """(reps, coset_of): the least elements of the cosets aS, ascending, and
     for each element a the index in reps of its coset."""

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import engel
 from .analysis import MultipartiteShape, recognize_complete_multipartite
 from .graphs import SimpleGraph
@@ -224,10 +226,12 @@ def zagreb_report(g: SimpleGraph) -> ZagrebReport:
     Hansen-Vukicevic comparison M2/e >= M1/v (absent on edgeless graphs)."""
     if g.n < 1:
         raise ValueError("Zagreb report needs at least one vertex")
-    deg = g.degrees()
-    m1 = sum(d * d for d in deg)
-    m2 = sum(deg[i] * deg[j] for i, j in g.edges())
-    e = g.n_edges()
+    # exact in int64 since (n-1)^2 * edges < n^4 / 2 < 2^63 for any n < 2^16
+    deg = np.array(g.degrees(), dtype=np.int64)
+    m1 = int((deg * deg).sum())
+    i, j = g.pair_arrays()
+    m2 = int((deg[i] * deg[j]).sum())
+    e = len(i)
     if e:
         lhs, rhs = Fraction(m2, e), Fraction(m1, g.n)
         return ZagrebReport(m1, m2, g.n, e, lhs, rhs, lhs >= rhs)

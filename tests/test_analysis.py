@@ -1,6 +1,7 @@
 """Graph-analysis: multipartite recognition, cliques, planarity, isomorphism."""
 
 import itertools
+import json
 
 import networkx as nx
 import pytest
@@ -317,6 +318,66 @@ def test_graph_json_edges_lexicographic():
 
     d = DirectedGraph.from_arcs(3, [(2, 0), (0, 1)])
     assert d.to_json_obj() == {"n": 3, "edges": [[0, 1], [2, 0]]}
+
+
+def _dot_reference(keyword, op, name, n, labels, pairs):
+    # the f-string loop the DOT writer replaced, written out
+    lines = [f'{keyword} "{name}" {{']
+    for i in range(n):
+        lines.append(f'  {i} [label="{labels[i] if labels else i}"];')
+    for i, j in pairs:
+        lines.append(f"  {i} {op} {j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _graph_pairs(draw, directed):
+    n = draw(st.integers(1, 40))
+    pairs = [(i, j) for i in range(n) for j in range(n) if (i != j if directed else i < j)]
+    kind = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    if kind == "edgeless":
+        return n, []
+    if kind == "complete" or not pairs:
+        return n, pairs
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True))
+
+
+@given(_graph_pairs(directed=False), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_simple_graph_writers_match_references(drawn, labelled):
+    n, edges = drawn
+    labels = [f"v{i}" for i in range(n)] if labelled else None
+    g = SimpleGraph.from_edges(n, [(j, i) for i, j in edges], labels=labels)
+    ref = {"n": n, "edges": sorted([i, j] for i, j in edges)}
+    assert g.to_json() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+    assert g.to_json_obj() == ref and g.edges() == sorted(edges)
+    want = _dot_reference("graph", "--", "X", n, labels, sorted(edges))
+    assert g.to_dot("X") == want
+
+
+@given(_graph_pairs(directed=True), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_directed_graph_writers_match_references(drawn, labelled):
+    from engel_lab.graphs import DirectedGraph
+
+    n, arcs = drawn
+    labels = [f"v{i}" for i in range(n)] if labelled else None
+    d = DirectedGraph.from_arcs(n, arcs, labels=labels)
+    ref = {"n": n, "edges": sorted([i, j] for i, j in arcs)}
+    assert d.to_json() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+    assert d.to_json_obj() == ref and d.arcs() == sorted(arcs)
+    assert d.to_dot() == _dot_reference("digraph", "->", "G", n, labels, sorted(arcs))
+
+
+@given(_graph_pairs(directed=False))
+@settings(max_examples=60, deadline=None)
+def test_components_count_matches_networkx(drawn):
+    n, edges = drawn
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(edges)
+    assert SimpleGraph.from_edges(n, edges).n_components() == nx.number_connected_components(nxg)
 
 
 def test_components_count():

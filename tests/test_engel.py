@@ -1,6 +1,9 @@
 """Engel-core: verdicts, left Engel sets, co-Engel and directed graphs."""
 
 import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,9 @@ from engel_lab.engel import engel_relation, validate_left_engel_baer
 from engel_lab.verify import _soluble_catalog
 
 import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import groupmodel  # noqa: E402
 
 
 def _verdict(spec, xname, yname):
@@ -172,18 +178,24 @@ def test_left_engel_baer_validation(spec):
 
 
 def _baer_witness_by_definition(g, members):
-    """The coset walk written out: the least x of each coset of L outside L,
-    and the first whose <L, x> is normal and nilpotent (a proper subgroup
-    unless G is nilpotent), by name; None if there is none."""
-    seen, g_nilpotent = set(members), el.is_nilpotent(g)
+    """The closure walk written out: ascending, the first x outside L whose
+    coset xL has prime order in G/L and whose normal closure <L, x^G> is
+    normal and nilpotent (a proper subgroup unless G is nilpotent), by
+    name; None if there is none."""
+    inside, g_nilpotent = set(members), el.is_nilpotent(g)
     for x in range(g.order):
-        if x in seen:
+        if x in inside:
             continue
-        seen.update(g.mul(x, m) for m in members)
-        bigger = el.subgroup_generated(g, [*members, x])
-        if bigger.size == g.order and not g_nilpotent:
+        power, k = x, 1
+        while power not in inside:
+            power, k = g.mul(power, x), k + 1
+        if k < 2 or any(k % d == 0 for d in range(2, k)):
             continue
-        if el.is_normal(g, bigger) and el.is_nilpotent(bigger.as_group()):
+        conjugates = {g.mul(g.mul(g.inv(a), x), a) for a in range(g.order)}
+        closure = el.subgroup_generated(g, [*members, *conjugates])
+        if closure.size == g.order and not g_nilpotent:
+            continue
+        if el.is_normal(g, closure) and el.is_nilpotent(closure.as_group()):
             return g.element_names[x]
     return None
 
@@ -207,8 +219,26 @@ def test_baer_walk_matches_definition_on_smaller_candidates(spec, monkeypatch):
         if want is None:
             assert validate_left_engel_baer(g).members == members
         else:
-            with pytest.raises(ValueError, match=re.escape(f"<L, {want}> is normal nilpotent")):
+            match = re.escape(f"the normal closure of <L, {want}> is nilpotent")
+            with pytest.raises(ValueError, match=match):
                 validate_left_engel_baer(g)
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:4"])
+def test_baer_walk_refuses_trivial_l_below_a_non_cyclic_fitting_subgroup(spec, monkeypatch):
+    # F(S_4) = F(A_4) = V_4 is not cyclic over 1, so no <1, x> is normal
+    # and nilpotent; the closure of a double transposition is V_4 itself.
+    g = el.build_group(spec)
+    monkeypatch.setattr(engel, "left_engel_set", lambda h: frozenset({g.identity}))
+    with pytest.raises(ValueError, match="is not maximal"):
+        validate_left_engel_baer(g)
+
+
+@pytest.mark.parametrize("spec", [*_soluble_catalog(48), "A:5", "S:5"])
+def test_baer_walk_accepts_l_of_fitting_order(spec):
+    g = el.build_group(spec)
+    sub = validate_left_engel_baer(g)
+    assert sub.size == groupmodel.fitting_order(groupmodel.parse_spec(spec))
 
 
 def test_left_engel_product_law():
@@ -341,6 +371,30 @@ def test_single_arc_pairs_sorted_lexicographically():
     arcs = el.single_arc_pairs(el.directed_engel_graph(el.build_group("S:4")))
     assert arcs == sorted(arcs)
     assert len(arcs) == 48  # oracle-frozen
+
+
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+@settings(max_examples=80, deadline=None)
+def test_single_arc_pairs_match_pairwise_loop(drawn):
+    n, pairs = drawn
+    arcs = {(i, j) for i, j in pairs if i != j}
+    d = el.DirectedGraph.from_arcs(n, arcs)
+    want = [(x, y) for x in range(n) for y in range(n) if (x, y) in arcs and (y, x) not in arcs]
+    assert el.single_arc_pairs(d) == want
+
+
+@pytest.mark.parametrize("spec", ["S:4", "A:4", "F:3:7", "P:(C:3)x(S:3)", "D:12"])
+def test_single_arcs_outside_L_match_pairwise_loop(spec):
+    g = el.build_group(spec)
+    d, lset = el.directed_engel_graph(g), el.left_engel_set(g)
+    want = [
+        (x, y)
+        for x in range(g.order)
+        for y in range(g.order)
+        if x not in lset and y not in lset and d.has_arc(x, y) and not d.has_arc(y, x)
+    ]
+    assert el.single_arcs_outside_left_engel(g) == want
 
 
 def test_single_arcs_outside_L_dihedral_empty():

@@ -126,6 +126,16 @@ def test_cli_graph_reduced_json_matches_spec_example(capsys):
     assert json.loads(out) == {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
 
 
+def test_cli_graph_json_bytes_are_pinned(capsys):
+    # the exact document, not only its parse: indent 2, sorted keys, LF
+    pair = "    [\n      %d,\n      %d\n    ]"
+    reduced = ",\n".join([pair % (0, 1), pair % (0, 2), pair % (1, 2)])
+    want = '{\n  "edges": [\n' + reduced + '\n  ],\n  "n": 3\n}\n'
+    assert _run_cli(["graph", "D:6", "--reduced"], capsys) == (0, want, "")
+    want = '{\n  "edges": [],\n  "n": 1\n}\n'
+    assert _run_cli(["graph", "C:1", "--directed"], capsys) == (0, want, "")
+
+
 def test_cli_graph_dot(capsys):
     code, out, _ = _run_cli(["graph", "D:6", "--reduced", "--dot"], capsys)
     assert code == 0

@@ -259,6 +259,17 @@ def test_zagreb_k32_frozen():
     assert oracles.brute_zagreb(graph.n, graph.edges()) == (96, 192)
 
 
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))))
+@settings(max_examples=80, deadline=None)
+def test_zagreb_matches_brute_force_on_random_graphs(drawn):
+    n, pairs = drawn
+    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+    zr = el.zagreb_report(SimpleGraph.from_edges(n, edges))
+    assert (zr.m1, zr.m2, zr.e_count) == (*oracles.brute_zagreb(n, edges), len(edges))
+    assert type(zr.m1) is int and type(zr.m2) is int
+
+
 def test_zagreb_closed_form_trivial():
     assert el.zagreb_closed_form(1, 5) == (0, 0)
 
