@@ -6,7 +6,6 @@ recognition, exact spectra and energies, genus formulas, and Zagreb indices.
 from .analysis import (
     MultipartiteShape,
     clique_number,
-    graphs_isomorphic_small,
     is_planar,
     recognize_complete_multipartite,
     verify_biclique,
@@ -42,7 +41,6 @@ from .groups import (
     is_normal,
     is_soluble,
     quotient_group,
-    quotient_iso_check,
     subgroup_generated,
     upper_central_series,
     validate_group,

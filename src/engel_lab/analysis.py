@@ -15,7 +15,6 @@ import networkx as nx
 from .graphs import SimpleGraph
 
 CLIQUE_VERTEX_LIMIT = 64
-ISO_VERTEX_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,10 @@ def clique_number(g: SimpleGraph, max_vertices: int = CLIQUE_VERTEX_LIMIT) -> in
 
 
 def is_planar(g: SimpleGraph) -> bool:
-    """Exact planarity via the left-right test (networkx)."""
+    """Exact planarity via the left-right test (networkx), after Euler's
+    bound: a planar graph on n >= 3 vertices has at most 3n - 6 edges."""
+    if g.n >= 3 and g.n_edges() > 3 * g.n - 6:
+        return False
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
@@ -152,54 +154,3 @@ def verify_biclique(
     if lset & rset:
         raise ValueError(f"biclique sides overlap: {sorted(lset & rset)}")
     return all(g.has_edge(i, j) for i in lset for j in rset)
-
-
-def _iso_backtrack(g1: SimpleGraph, g2: SimpleGraph) -> bool:
-    n = g1.n
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    if sorted(deg1) != sorted(deg2):
-        return False
-    order = sorted(range(n), key=lambda v: (-deg1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def place(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in range(n):
-            if used[w] or deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for prev in order[:k]:
-                if g1.has_edge(v, prev) != g2.has_edge(w, mapping[prev]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if place(k + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return place(0)
-
-
-def graphs_isomorphic_small(g1: SimpleGraph, g2: SimpleGraph) -> bool:
-    """Isomorphism for graphs that are recognised complete multipartite (any
-    size; compared by shape) or have at most 12 vertices (backtracking)."""
-    if g1.n != g2.n:
-        return False
-    s1 = recognize_complete_multipartite(g1)
-    s2 = recognize_complete_multipartite(g2)
-    if s1 is not None and s2 is not None:
-        return s1.parts == s2.parts
-    if (s1 is None) != (s2 is None):
-        return False
-    if g1.n > ISO_VERTEX_LIMIT:
-        raise ValueError(
-            f"general isomorphism limited to {ISO_VERTEX_LIMIT} vertices"
-        )
-    return _iso_backtrack(g1, g2)

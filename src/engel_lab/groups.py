@@ -89,12 +89,6 @@ class FiniteGroup:
                 return idx
         raise KeyError(f"group {self.label} has no generator named {name!r}")
 
-    def name_index(self, name: str) -> int:
-        try:
-            return self.element_names.index(name)
-        except ValueError:
-            raise KeyError(f"group {self.label} has no element named {name!r}") from None
-
     def order_census(self) -> dict[int, int]:
         orders, counts = np.unique(element_orders(self), return_counts=True)
         return dict(zip(orders.tolist(), counts.tolist()))
@@ -504,76 +498,6 @@ def quotient_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
     names = [f"[{g.element_names[a]}]" for a in reps]
     product = lambda u, v: coset_of[g.table[reps[u], reps[v]]]
     return _finalize(len(reps), product, names, (), f"{g.label}/|{s.size}|")
-
-
-def _minimal_generating_sequence(g: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    closure = {g.identity}
-    for a in range(g.order):
-        if a not in closure:
-            gens.append(a)
-            closure = set(subgroup_generated(g, gens).members)
-            if len(closure) == g.order:
-                break
-    return gens
-
-
-def are_isomorphic_small(g: FiniteGroup, h: FiniteGroup, limit: int = 24) -> bool:
-    """Isomorphism test by generator-image backtracking; intended for orders
-    up to ``limit``."""
-    if g.order != h.order:
-        return False
-    if g.order > limit:
-        raise ValueError(f"isomorphism test limited to order {limit}")
-    if g.order_census() != h.order_census():
-        return False
-    gens = _minimal_generating_sequence(g)
-    orders = [g.element_order(a) for a in gens]
-    by_order: dict[int, list[int]] = {}
-    for b in range(h.order):
-        by_order.setdefault(h.element_order(b), []).append(b)
-
-    def try_images(images: list[int]) -> bool:
-        # grow the hom from generator images by closing under products
-        mapping = {g.identity: h.identity}
-        frontier = [g.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gen, img in zip(gens, images):
-                    prod = g.table[a][gen]
-                    want = h.table[mapping[a]][img]
-                    got = mapping.get(prod)
-                    if got is None:
-                        mapping[prod] = want
-                        nxt.append(prod)
-                    elif got != want:
-                        return False
-            frontier = nxt
-        if len(mapping) != g.order or len(set(mapping.values())) != g.order:
-            return False
-        return all(
-            mapping[g.table[a][b]] == h.table[mapping[a]][mapping[b]]
-            for a in range(g.order)
-            for b in range(g.order)
-        )
-
-    def backtrack(pos: int, images: list[int]) -> bool:
-        if pos == len(gens):
-            return try_images(images)
-        for cand in by_order.get(orders[pos], []):
-            if backtrack(pos + 1, images + [cand]):
-                return True
-        return False
-
-    return backtrack(0, [])
-
-
-def quotient_iso_check(g: FiniteGroup, s: Subgroup, target: FiniteGroup) -> bool:
-    """True iff G/S is isomorphic to the (small) target group."""
-    if g.order % s.size or g.order // s.size > 24:
-        raise ValueError("quotient isomorphism check limited to |G/S| <= 24")
-    return are_isomorphic_small(quotient_group(g, s), target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """One-shot verification sweep: every closed-form claim in scope is checked
 against brute-force computation on the actual groups.
 
-Each claim produces VerificationRecords whose ``expected`` side is assembled
-purely from the published formulas (parameter arithmetic) and whose
-``computed`` side comes from the group -> graph -> measurement pipeline.
-Records are JSON-typed throughout so comparisons are exact.
+A claim pairs an ``expected`` side, assembled purely from the published
+formulas (parameter arithmetic), with a measure of one built group through the
+group -> graph -> measurement pipeline.  Most claims concern the families the
+paper shows have reduced co-Engel graph K_{a.b} (a parts of size b); those are
+listed once, by ``_realised``, and their expected sides are functions of
+(a, b).  Records are JSON-typed throughout so comparisons are exact.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .groups import (
     is_soluble,
     subgroup_generated,
 )
-from .spectra import IntegerSpectrum, closed_form_spectra, spectrum_report
-from .specs import GroupSpec, build_group, parse_group_spec
+from .spectra import closed_form_spectra, spectrum_report
+from .specs import build_group, parse_group_spec
 
 SWEEP_TM = tuple((t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9))
 SWEEP_M = (3, 5, 7, 9)
@@ -66,13 +68,7 @@ class VerificationRecord:
     status: str  # pass | fail | skipped
 
     def to_json_obj(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "group": self.group,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,17 @@ class Claim:
     group: str
     expected: object
     compute: Callable[[], object]
+
+
+def _claim(
+    claim_id: str, spec: str, expected: object, measure: Callable[..., object], *partners: str
+) -> Claim:
+    """The claim that ``measure`` of the group ``spec`` (followed by the
+    ``partners`` groups, if any) equals ``expected``; groups are built when
+    the claim is computed."""
+    return Claim(
+        claim_id, spec, expected, lambda: measure(*map(build_group, (spec, *partners)))
+    )
 
 
 def _frac_str(x) -> str:
@@ -92,335 +99,67 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _shape_parts(g: FiniteGroup) -> Optional[list[int]]:
-    shape = recognize_complete_multipartite(engel.reduced_co_engel_graph(g))
-    return None if shape is None else list(shape.parts)
-
-
 # ---------------------------------------------------------------------------
-# claim builders, one group of claims per acceptance criterion
+# the realised families and their expected sides, as functions of (a, b)
 
 
-def _claims_thm_dihed() -> Iterable[Claim]:
+def _realised(d2m_sweep: Iterable[int] = SWEEP_M) -> Iterator[tuple[str, str, int, int]]:
+    """(family, spec, a, b) for every swept group whose reduced co-Engel graph
+    the paper shows is K_{a.b}: D/Q of order 2^(t+1)m give K_{m.2^t}, D_2m gives
+    K_m and F(p,q) gives K_{q.(p-1)}."""
     for t, m in SWEEP_TM:
-        order = 2 ** (t + 1) * m
-        parts = [2**t] * m
         for fam in ("D", "Q"):
-            spec = f"{fam}:{order}"
-            yield Claim(
-                "thm-dihed",
-                spec,
-                {"parts": parts},
-                lambda s=spec: {"parts": _shape_parts(build_group(s))},
-            )
-
-        def iso(d=f"D:{order}", q=f"Q:{order}"):
-            pd = _shape_parts(build_group(d))
-            pq = _shape_parts(build_group(q))
-            return {"isomorphic": pd is not None and pd == pq}
-
-        yield Claim("thm-dihed", f"D:{order}", {"isomorphic": True}, iso)
-    for m in SWEEP_M:
-        spec = f"D:{2 * m}"
-        yield Claim(
-            "thm-dihed",
-            spec,
-            {"parts": [1] * m},
-            lambda s=spec: {"parts": _shape_parts(build_group(s))},
-        )
-
-
-def _claims_thm_pq() -> Iterable[Claim]:
+            yield "dq", f"{fam}:{2 ** (t + 1) * m}", m, 2**t
+    for m in d2m_sweep:
+        yield "d2m", f"D:{2 * m}", m, 1
     for p, q in SWEEP_PQ:
-        spec = f"F:{p}:{q}"
-        yield Claim(
-            "thm-pq",
-            spec,
-            {"parts": [p - 1] * q},
-            lambda s=spec: {"parts": _shape_parts(build_group(s))},
-        )
+        yield "fpq", f"F:{p}:{q}", q, p - 1
 
 
-def _claims_thm_bipar() -> Iterable[Claim]:
-    # The direct-product theorem's proof exhibits the partite sets H x G_i:
-    # m parts of size l*n (the statement's subscript "lm.n" is a slip; the
-    # same paper computes C3 x D_6 as K_{3,3,3}, which settles the reading).
-    base_shape = {"D:12": (3, 2), "Q:12": (3, 2), "F:3:7": (7, 2)}
-    for h in SWEEP_H:
-        l = parse_group_spec(h).order()
-        for gname in BIPAR_G:
-            m, n = base_shape[gname]
-            spec = f"P:({h})x({gname})"
-            yield Claim(
-                "thm-bipar",
-                spec,
-                {"parts": [l * n] * m},
-                lambda s=spec: {"parts": _shape_parts(build_group(s))},
-            )
+# claim ids per family: shape theorem, genus formula, surface class, energy, Zagreb
+_FAMILY_IDS = {
+    "dq": ("thm-dihed", "genus-formula-D", "genus-class-D", "energy-dq", "zagreb-dq"),
+    "d2m": ("thm-dihed", "genus-formula-D", "genus-class-D", "energy-d2m", None),
+    "fpq": ("thm-pq", "genus-formula-F", "genus-class-F", "energy-fpq", "zagreb-fpq"),
+}
+
+# The paper's surface tables, keyed by (a, b); every other swept group has
+# genus >= 5.  D/Q: (t, m) = (1, 3) planar, (1, 5) and (1, 7) toroidal, (1, 9)
+# and (2, 3) triple-toroidal.  D_2m: m = 3 planar, 5 and 7 toroidal, 9
+# triple-toroidal.  F(p,q): (2, 3) planar, (2, 5), (2, 7) and (3, 7) toroidal.
+_PLANAR, _TORUS, _TRIPLE = topology.CLASS_PLANAR, topology.CLASS_TOROIDAL, topology.CLASS_TRIPLE
+_CLASSES = {
+    "dq": {(3, 2): _PLANAR, (5, 2): _TORUS, (7, 2): _TORUS, (9, 2): _TRIPLE, (3, 4): _TRIPLE},
+    "d2m": {(3, 1): _PLANAR, (5, 1): _TORUS, (7, 1): _TORUS, (9, 1): _TRIPLE},
+    "fpq": {(3, 1): _PLANAR, (5, 1): _TORUS, (7, 1): _TORUS, (7, 2): _TORUS},
+}
+
+# L(G) of the realised families: <y> of order ab in D/Q, <b> = C_q in F(p,q)
+_LEFT_ENGEL = {"dq": ("y", lambda a, b: a * b), "fpq": ("b", lambda a, b: a)}
 
 
-def _left_engel_computed(spec: str, expected_members_of) -> dict:
-    g = build_group(spec)
-    lset = engel.left_engel_set(g)
-    try:
-        engel.validate_left_engel_baer(g)
-        baer = True
-    except ValueError:
-        baer = False
+def _genus_expected(a: int, b: int) -> int:
+    """gamma(K_{a.b}) = a(a-1)/2 ceil((b-2)^2/4) + ceil((a-3)(a-4)/12); b = 1
+    is K_a, which keeps only the second term."""
+    k_a = _ceil_div((a - 3) * (a - 4), 12)
+    return k_a if b == 1 else a * (a - 1) // 2 * _ceil_div((b - 2) ** 2, 4) + k_a
+
+
+def _energy_expected(a: int, b: int) -> dict:
+    """The three spectra of K_{a.b} (degree d = b(a-1)) as sorted
+    [value, multiplicity] rows, and E = LE = LE+ = 2d."""
+    d = b * (a - 1)
+
+    def spectrum(rows):
+        return sorted([v, k] for v, k in rows if k)
+
     return {
-        "matches": sorted(lset) == expected_members_of(g),
-        "baer_valid": baer,
-        "size": len(lset),
-    }
-
-
-def _claims_left_engel() -> Iterable[Claim]:
-    def gen_subgroup(name):
-        def members(g: FiniteGroup) -> list[int]:
-            return sorted(subgroup_generated(g, [g.generator_index(name)]).members)
-
-        return members
-
-    for t, m in SWEEP_TM:
-        order = 2 ** (t + 1) * m
-        for fam in ("D", "Q"):
-            spec = f"{fam}:{order}"
-            yield Claim(
-                "left-engel",
-                spec,
-                {"matches": True, "baer_valid": True, "size": order // 2},
-                lambda s=spec: _left_engel_computed(s, gen_subgroup("y")),
-            )
-    for p, q in SWEEP_PQ:
-        spec = f"F:{p}:{q}"
-        yield Claim(
-            "left-engel",
-            spec,
-            {"matches": True, "baer_valid": True, "size": q},
-            lambda s=spec: _left_engel_computed(s, gen_subgroup("b")),
-        )
-
-    def s4_expected_members(g: FiniteGroup) -> list[int]:
-        names = {"e", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"}
-        return sorted(i for i, nm in enumerate(g.element_names) if nm in names)
-
-    yield Claim(
-        "left-engel",
-        "S:4",
-        {"matches": True, "baer_valid": True, "size": 4},
-        lambda: _left_engel_computed("S:4", s4_expected_members),
-    )
-
-
-def _claims_genus_formula() -> Iterable[Claim]:
-    for t, m in SWEEP_TM:
-        order = 2 ** (t + 1) * m
-        theorem = m * (m - 1) * (2 ** (t - 1) - 1) ** 2 // 2 + _ceil_div(
-            (m - 3) * (m - 4), 12
-        )
-        for fam in ("D", "Q"):
-            spec = f"{fam}:{order}"
-
-            def genus_of(s=spec):
-                shape = recognize_complete_multipartite(
-                    engel.reduced_co_engel_graph(build_group(s))
-                )
-                return {
-                    "genus": topology.genus_uniform_multipartite(shape.a, shape.b)
-                }
-
-            yield Claim("genus-formula-D", spec, {"genus": theorem}, genus_of)
-    for m in SWEEP_M:
-        spec = f"D:{2 * m}"
-        theorem = _ceil_div((m - 3) * (m - 4), 12)
-
-        def genus_dm(s=spec):
-            shape = recognize_complete_multipartite(
-                engel.reduced_co_engel_graph(build_group(s))
-            )
-            return {"genus": topology.genus_complete(shape.a)}
-
-        yield Claim("genus-formula-D", spec, {"genus": theorem}, genus_dm)
-    for p, q in SWEEP_PQ:
-        spec = f"F:{p}:{q}"
-        if p == 2:
-            theorem = _ceil_div((q - 3) * (q - 4), 12)
-        else:
-            theorem = (q * (q - 1) // 2) * _ceil_div((p - 3) ** 2, 4) + _ceil_div(
-                (q - 3) * (q - 4), 12
-            )
-
-        def genus_f(s=spec, p=p):
-            shape = recognize_complete_multipartite(
-                engel.reduced_co_engel_graph(build_group(s))
-            )
-            if p == 2:
-                return {"genus": topology.genus_complete(shape.a)}
-            return {"genus": topology.genus_uniform_multipartite(shape.a, shape.b)}
-
-        yield Claim("genus-formula-F", spec, {"genus": theorem}, genus_f)
-
-
-def _dq_classification(t: int, m: int) -> str:
-    if t == 1 and m == 3:
-        return topology.CLASS_PLANAR
-    if t == 1 and m in (5, 7):
-        return topology.CLASS_TOROIDAL
-    if (t, m) in ((1, 9), (2, 3)):
-        return topology.CLASS_TRIPLE
-    return topology.CLASS_GENUS_5_PLUS
-
-
-def _d2m_classification(m: int) -> str:
-    if m == 3:
-        return topology.CLASS_PLANAR
-    if m in (5, 7):
-        return topology.CLASS_TOROIDAL
-    if m == 9:
-        return topology.CLASS_TRIPLE
-    return topology.CLASS_GENUS_5_PLUS
-
-
-def _f_classification(p: int, q: int) -> str:
-    if (p, q) == (2, 3):
-        return topology.CLASS_PLANAR
-    if (p, q) in ((2, 5), (2, 7), (3, 7)):
-        return topology.CLASS_TOROIDAL
-    return topology.CLASS_GENUS_5_PLUS
-
-
-def _classification_of(spec: str) -> dict:
-    sc = topology.surface_class_of_reduced(build_group(spec))
-    return {"classification": sc.classification}
-
-
-def _claims_genus_class() -> Iterable[Claim]:
-    for t, m in SWEEP_TM:
-        order = 2 ** (t + 1) * m
-        expected = {"classification": _dq_classification(t, m)}
-        for fam in ("D", "Q"):
-            spec = f"{fam}:{order}"
-            yield Claim(
-                "genus-class-D", spec, expected, lambda s=spec: _classification_of(s)
-            )
-    for m in SWEEP_M_CLASS:
-        spec = f"D:{2 * m}"
-        yield Claim(
-            "genus-class-D",
-            spec,
-            {"classification": _d2m_classification(m)},
-            lambda s=spec: _classification_of(s),
-        )
-    for p, q in SWEEP_PQ:
-        spec = f"F:{p}:{q}"
-        yield Claim(
-            "genus-class-F",
-            spec,
-            {"classification": _f_classification(p, q)},
-            lambda s=spec: _classification_of(s),
-        )
-    for spec in ("A:4", "P:(C:3)x(D:6)"):
-        yield Claim(
-            "genus-class-gen",
-            spec,
-            {"classification": topology.CLASS_TOROIDAL, "clique_at_most_4": True},
-            lambda s=spec: {
-                **_classification_of(s),
-                "clique_at_most_4": clique_number(
-                    engel.reduced_co_engel_graph(build_group(s))
-                )
-                <= 4,
-            },
-        )
-
-
-def _claims_projective() -> Iterable[Claim]:
-    # the three projective groups, via the surface pipeline
-    for spec in ("D:6", "D:12", "Q:12"):
-        yield Claim(
-            "projective",
-            spec,
-            {"projective": True, "planar": True},
-            lambda s=spec: {
-                "projective": topology.surface_class_of_reduced(build_group(s)).projective,
-                "planar": topology.surface_class_of_reduced(build_group(s)).classification
-                == topology.CLASS_PLANAR,
-            },
-        )
-    # D_6 -> K_3 carries the crosscap-1 formula value
-    yield Claim(
-        "projective",
-        "D:6",
-        {"crosscap": 1},
-        lambda: {"crosscap": topology.surface_class_of_reduced(build_group("D:6")).crosscap},
-    )
-    # the proof's obstructions
-    yield Claim(
-        "projective",
-        "A:4",
-        {"crosscap_K44": 2, "projective": False},
-        lambda: {
-            "crosscap_K44": topology.crosscap_complete_bipartite(4, 4),
-            "projective": topology.surface_class_of_reduced(build_group("A:4")).projective,
-        },
-    )
-    yield Claim(
-        "projective",
-        "P:(C:3)x(D:6)",
-        {"crosscap_K63": 2, "projective": False},
-        lambda: {
-            "crosscap_K63": topology.crosscap_complete_bipartite(6, 3),
-            "projective": topology.surface_class_of_reduced(
-                build_group("P:(C:3)x(D:6)")
-            ).projective,
-        },
-    )
-
-
-def _energy_computed(spec: str) -> dict:
-    g = build_group(spec)
-    graph = engel.reduced_co_engel_graph(g)
-    rep = spectrum_report(graph)
-    shape = recognize_complete_multipartite(graph)
-    cf = closed_form_spectra(shape)
-    polys_match = (
-        rep.adjacency_poly == cf.adjacency_poly
-        and rep.laplacian_poly == cf.laplacian_poly
-        and rep.signless_poly == cf.signless_poly
-    )
-    return {
-        "spectrum": rep.adjacency_spectrum.to_json_obj()
-        if rep.adjacency_spectrum
-        else None,
-        "laplacian_spectrum": rep.laplacian_spectrum.to_json_obj()
-        if rep.laplacian_spectrum
-        else None,
-        "signless_spectrum": rep.signless_spectrum.to_json_obj()
-        if rep.signless_spectrum
-        else None,
-        "E": _frac_str(rep.energy) if rep.energy is not None else None,
-        "LE": _frac_str(rep.laplacian_energy)
-        if rep.laplacian_energy is not None
-        else None,
-        "LE+": _frac_str(rep.signless_energy)
-        if rep.signless_energy is not None
-        else None,
-        "super_integral": rep.super_integral,
-        "hyperenergetic": rep.hyperenergetic,
-        "hypoenergetic": rep.hypoenergetic,
-        "e_le_holds": rep.e_le_holds,
-        "polys_match_closed_form": polys_match,
-    }
-
-
-def _energy_expected(spec_rows, lap_rows, sig_rows, energy: int) -> dict:
-    return {
-        "spectrum": IntegerSpectrum.merged(spec_rows).to_json_obj(),
-        "laplacian_spectrum": IntegerSpectrum.merged(lap_rows).to_json_obj(),
-        "signless_spectrum": IntegerSpectrum.merged(sig_rows).to_json_obj(),
-        "E": f"{energy}/1",
-        "LE": f"{energy}/1",
-        "LE+": f"{energy}/1",
+        "spectrum": spectrum([(0, a * (b - 1)), (-b, a - 1), (d, 1)]),
+        "laplacian_spectrum": spectrum([(0, 1), (d, a * (b - 1)), (a * b, a - 1)]),
+        "signless_spectrum": spectrum([(d, a * (b - 1)), (b * (a - 2), a - 1), (2 * d, 1)]),
+        "E": f"{2 * d}/1",
+        "LE": f"{2 * d}/1",
+        "LE+": f"{2 * d}/1",
         "super_integral": True,
         "hyperenergetic": False,
         "hypoenergetic": False,
@@ -429,45 +168,69 @@ def _energy_expected(spec_rows, lap_rows, sig_rows, energy: int) -> dict:
     }
 
 
-def _claims_energy() -> Iterable[Claim]:
-    for m in SWEEP_M:
-        spec = f"D:{2 * m}"
-        expected = _energy_expected(
-            [(-1, m - 1), (m - 1, 1)],
-            [(0, 1), (m, m - 1)],
-            [(m - 2, m - 1), (2 * (m - 1), 1)],
-            2 * (m - 1),
-        )
-        yield Claim("energy-d2m", spec, expected, lambda s=spec: _energy_computed(s))
-    for t, m in SWEEP_TM:
-        order = 2 ** (t + 1) * m
-        b = 2**t
-        expected = _energy_expected(
-            [(0, m * (b - 1)), (-b, m - 1), (b * (m - 1), 1)],
-            [(0, 1), (b * (m - 1), m * (b - 1)), (b * m, m - 1)],
-            [(b * (m - 1), m * (b - 1)), (b * (m - 2), m - 1), (2 * b * (m - 1), 1)],
-            2 ** (t + 1) * (m - 1),
-        )
-        for fam in ("D", "Q"):
-            spec = f"{fam}:{order}"
-            yield Claim("energy-dq", spec, expected, lambda s=spec: _energy_computed(s))
-    for p, q in SWEEP_PQ:
-        spec = f"F:{p}:{q}"
-        expected = _energy_expected(
-            [(0, q * (p - 2)), (-(p - 1), q - 1), ((p - 1) * (q - 1), 1)],
-            [(0, 1), ((p - 1) * (q - 1), q * (p - 2)), (q * (p - 1), q - 1)],
-            [
-                ((p - 1) * (q - 1), q * (p - 2)),
-                ((p - 1) * (q - 2), q - 1),
-                (2 * (p - 1) * (q - 1), 1),
-            ],
-            2 * (p - 1) * (q - 1),
-        )
-        yield Claim("energy-fpq", spec, expected, lambda s=spec: _energy_computed(s))
+def _zagreb_expected(a: int, b: int) -> dict:
+    """M1 = a(a-1)^2 b^3, M2 = a(a-1)^3 b^4 / 2, and M2/e = M1/v = (b(a-1))^2."""
+    return {
+        "M1": a * (a - 1) ** 2 * b**3,
+        "M2": a * (a - 1) ** 3 * b**4 // 2,
+        "ratios_equal": True,
+        "ratio": f"{(b * (a - 1)) ** 2}/1",
+        "hv_holds": True,
+    }
 
 
-def _zagreb_computed(spec: str) -> dict:
-    zr = topology.zagreb_report(engel.reduced_co_engel_graph(build_group(spec)))
+# ---------------------------------------------------------------------------
+# measures: each takes the built group(s) and returns the computed side
+
+
+def _shape(g: FiniteGroup):
+    return recognize_complete_multipartite(engel.reduced_co_engel_graph(g))
+
+
+def _measure_parts(g: FiniteGroup) -> dict:
+    shape = _shape(g)
+    return {"parts": None if shape is None else list(shape.parts)}
+
+
+def _measure_isomorphic(g: FiniteGroup, h: FiniteGroup) -> dict:
+    pg = _measure_parts(g)["parts"]
+    return {"isomorphic": pg is not None and pg == _measure_parts(h)["parts"]}
+
+
+def _measure_genus(g: FiniteGroup) -> dict:
+    shape = _shape(g)
+    return {"genus": topology.genus_uniform_multipartite(shape.a, shape.b)}
+
+
+def _measure_class(g: FiniteGroup) -> dict:
+    return {"classification": topology.surface_class_of_reduced(g).classification}
+
+
+def _measure_energy(g: FiniteGroup) -> dict:
+    graph = engel.reduced_co_engel_graph(g)
+    rep = spectrum_report(graph)
+    cf = closed_form_spectra(recognize_complete_multipartite(graph))
+    spectra = {
+        "spectrum": rep.adjacency_spectrum,
+        "laplacian_spectrum": rep.laplacian_spectrum,
+        "signless_spectrum": rep.signless_spectrum,
+    }
+    energies = {"E": rep.energy, "LE": rep.laplacian_energy, "LE+": rep.signless_energy}
+    return {
+        **{k: s.to_json_obj() if s else None for k, s in spectra.items()},
+        **{k: None if e is None else _frac_str(e) for k, e in energies.items()},
+        "super_integral": rep.super_integral,
+        "hyperenergetic": rep.hyperenergetic,
+        "hypoenergetic": rep.hypoenergetic,
+        "e_le_holds": rep.e_le_holds,
+        "polys_match_closed_form": rep.adjacency_poly == cf.adjacency_poly
+        and rep.laplacian_poly == cf.laplacian_poly
+        and rep.signless_poly == cf.signless_poly,
+    }
+
+
+def _measure_zagreb(g: FiniteGroup) -> dict:
+    zr = topology.zagreb_report(engel.reduced_co_engel_graph(g))
     return {
         "M1": zr.m1,
         "M2": zr.m2,
@@ -477,29 +240,57 @@ def _zagreb_computed(spec: str) -> dict:
     }
 
 
-def _claims_zagreb() -> Iterable[Claim]:
-    for t, m in SWEEP_TM:
-        order = 2 ** (t + 1) * m
-        expected = {
-            "M1": 2 ** (3 * t) * m * (m - 1) ** 2,
-            "M2": 2 ** (4 * t - 1) * m * (m - 1) ** 3,
-            "ratios_equal": True,
-            "ratio": f"{2 ** (2 * t) * (m - 1) ** 2}/1",
-            "hv_holds": True,
-        }
-        for fam in ("D", "Q"):
-            spec = f"{fam}:{order}"
-            yield Claim("zagreb-dq", spec, expected, lambda s=spec: _zagreb_computed(s))
-    for p, q in SWEEP_PQ:
-        spec = f"F:{p}:{q}"
-        expected = {
-            "M1": q * (q - 1) ** 2 * (p - 1) ** 3,
-            "M2": q * (q - 1) ** 3 * (p - 1) ** 4 // 2,
-            "ratios_equal": True,
-            "ratio": f"{(q - 1) ** 2 * (p - 1) ** 2}/1",
-            "hv_holds": True,
-        }
-        yield Claim("zagreb-fpq", spec, expected, lambda s=spec: _zagreb_computed(s))
+def _measure_left_engel(members_of: Callable[[FiniteGroup], list[int]]):
+    """Measure of L(G) against the members the paper names for it."""
+
+    def measure(g: FiniteGroup) -> dict:
+        lset = engel.left_engel_set(g)
+        try:
+            engel.validate_left_engel_baer(g)
+            baer = True
+        except ValueError:
+            baer = False
+        return {"matches": sorted(lset) == members_of(g), "baer_valid": baer, "size": len(lset)}
+
+    return measure
+
+
+def _generated_by(name: str) -> Callable[[FiniteGroup], list[int]]:
+    return lambda g: sorted(subgroup_generated(g, [g.generator_index(name)]).members)
+
+
+def _s4_klein_four(g: FiniteGroup) -> list[int]:
+    names = {"e", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"}
+    return sorted(i for i, nm in enumerate(g.element_names) if nm in names)
+
+
+def _measure_projective(g: FiniteGroup) -> dict:
+    sc = topology.surface_class_of_reduced(g)
+    return {"projective": sc.projective, "planar": sc.classification == topology.CLASS_PLANAR}
+
+
+def _measure_class_and_clique(g: FiniteGroup) -> dict:
+    return {
+        **_measure_class(g),
+        "clique_at_most_4": clique_number(engel.reduced_co_engel_graph(g)) <= 4,
+    }
+
+
+def _measure_nilpotent_digraph(g: FiniteGroup) -> dict:
+    digraph = engel.directed_engel_graph(g)
+    return {
+        "nilpotent": is_nilpotent(g),
+        "complete_digraph": digraph.is_complete(),
+        "single_arcs": len(engel.single_arc_pairs(digraph)),
+    }
+
+
+def _measure_soluble_digraph(g: FiniteGroup) -> dict:
+    return {
+        "soluble": is_soluble(g),
+        "nilpotent": is_nilpotent(g),
+        "has_single_arc": len(engel.single_arc_pairs(engel.directed_engel_graph(g))) > 0,
+    }
 
 
 def _dihedral_proposition_holds(g: FiniteGroup) -> bool:
@@ -525,112 +316,135 @@ def _dihedral_proposition_holds(g: FiniteGroup) -> bool:
     )
 
 
-def _claims_directed() -> Iterable[Claim]:
-    for spec in ("Q:8", "C:6", "D:8"):
-        yield Claim(
-            "directed-single-arcs",
-            spec,
-            {"nilpotent": True, "complete_digraph": True, "single_arcs": 0},
-            lambda s=spec: {
-                "nilpotent": is_nilpotent(build_group(s)),
-                "complete_digraph": engel.directed_engel_graph(
-                    build_group(s)
-                ).is_complete(),
-                "single_arcs": len(
-                    engel.single_arc_pairs(engel.directed_engel_graph(build_group(s)))
-                ),
-            },
-        )
-    soluble_specs = ["S:3", "S:4", "D:12", "Q:12"]
-    soluble_specs += [f"F:{p}:{q}" for p, q in SWEEP_PQ]
-    soluble_specs += [
-        f"{fam}:{2 ** (t + 1) * m}" for t, m in SWEEP_TM for fam in ("D", "Q")
-    ]
-    for spec in soluble_specs:
-        yield Claim(
-            "directed-single-arcs",
-            spec,
-            {"soluble": True, "nilpotent": False, "has_single_arc": True},
-            lambda s=spec: {
-                "soluble": is_soluble(build_group(s)),
-                "nilpotent": is_nilpotent(build_group(s)),
-                "has_single_arc": len(
-                    engel.single_arc_pairs(engel.directed_engel_graph(build_group(s)))
-                )
-                > 0,
-            },
-        )
-    for t, m in SWEEP_TM:
-        spec = f"D:{2 ** (t + 1) * m}"
-        yield Claim(
-            "directed-single-arcs",
-            spec,
-            {"proposition_holds": True, "single_arcs_outside_L": 0},
-            lambda s=spec: {
-                "proposition_holds": _dihedral_proposition_holds(build_group(s)),
-                "single_arcs_outside_L": len(
-                    engel.single_arcs_outside_left_engel(build_group(s))
-                ),
-            },
-        )
+def _measure_dihedral_proposition(g: FiniteGroup) -> dict:
+    return {
+        "proposition_holds": _dihedral_proposition_holds(g),
+        "single_arcs_outside_L": len(engel.single_arcs_outside_left_engel(g)),
+    }
 
-    def s4_singles() -> dict:
-        g = build_group("S:4")
-        arcs = np.array(engel.single_arcs_outside_left_engel(g), dtype=np.intp)
-        pattern = (element_orders(g)[arcs.reshape(-1, 2)] == (3, 2)).all()
-        return {"nonempty": len(arcs) > 0, "order_3_to_2": bool(pattern)}
 
-    yield Claim(
-        "directed-single-arcs",
-        "S:4",
-        {"nonempty": True, "order_3_to_2": True},
-        s4_singles,
-    )
+def _measure_s4_singles(g: FiniteGroup) -> dict:
+    arcs = np.array(engel.single_arcs_outside_left_engel(g), dtype=np.intp)
+    pattern = (element_orders(g)[arcs.reshape(-1, 2)] == (3, 2)).all()
+    return {"nonempty": len(arcs) > 0, "order_3_to_2": bool(pattern)}
 
 
 A4_BICLIQUE_H = ("(2,3,4)", "(1,2,4)", "(2,4,3)", "(1,4,2)")
 A4_BICLIQUE_K = ("(1,2,3)", "(1,3,4)", "(1,3,2)", "(1,4,3)")
 
 
-def _claims_a4() -> Iterable[Claim]:
-    def compute() -> dict:
-        g = build_group("A:4")
-        graph = engel.reduced_co_engel_graph(g)
-        pos = {name: i for i, name in enumerate(graph.labels)}
-        left = [pos[n] for n in A4_BICLIQUE_H]
-        right = [pos[n] for n in A4_BICLIQUE_K]
-        return {
-            "vertices": graph.n,
-            "biclique_K44": verify_biclique(graph, left, right),
-            "clique_at_most_4": clique_number(graph) <= 4,
-            "planar": is_planar(graph),
-        }
+def _measure_a4(g: FiniteGroup) -> dict:
+    graph = engel.reduced_co_engel_graph(g)
+    pos = {name: i for i, name in enumerate(graph.labels)}
+    return {
+        "vertices": graph.n,
+        "biclique_K44": verify_biclique(
+            graph, [pos[n] for n in A4_BICLIQUE_H], [pos[n] for n in A4_BICLIQUE_K]
+        ),
+        "clique_at_most_4": clique_number(graph) <= 4,
+        "planar": is_planar(graph),
+    }
 
-    yield Claim(
+
+# ---------------------------------------------------------------------------
+# the claim table
+
+
+def _claims_realised() -> Iterator[Claim]:
+    for family, spec, a, b in _realised():
+        shape_id, genus_id, _, energy_id, zagreb_id = _FAMILY_IDS[family]
+        yield _claim(shape_id, spec, {"parts": [b] * a}, _measure_parts)
+        if family == "dq" and spec.startswith("D:"):
+            q_spec = "Q" + spec[1:]
+            yield _claim(shape_id, spec, {"isomorphic": True}, _measure_isomorphic, q_spec)
+        yield _claim(genus_id, spec, {"genus": _genus_expected(a, b)}, _measure_genus)
+        yield _claim(energy_id, spec, _energy_expected(a, b), _measure_energy)
+        if zagreb_id:
+            yield _claim(zagreb_id, spec, _zagreb_expected(a, b), _measure_zagreb)
+        if family in _LEFT_ENGEL:
+            name, size = _LEFT_ENGEL[family]
+            expected = {"matches": True, "baer_valid": True, "size": size(a, b)}
+            yield _claim("left-engel", spec, expected, _measure_left_engel(_generated_by(name)))
+    for family, spec, a, b in _realised(SWEEP_M_CLASS):
+        classification = _CLASSES[family].get((a, b), topology.CLASS_GENUS_5_PLUS)
+        yield _claim(
+            _FAMILY_IDS[family][2], spec, {"classification": classification}, _measure_class
+        )
+
+
+def _claims_other() -> Iterator[Claim]:
+    # The direct-product theorem's proof exhibits the partite sets H x G_i:
+    # m parts of size l*n (the statement's subscript "lm.n" is a slip; the
+    # same paper computes C3 x D_6 as K_{3,3,3}, which settles the reading).
+    shapes = {spec: (a, b) for _, spec, a, b in _realised()}
+    for h in SWEEP_H:
+        l = parse_group_spec(h).order()
+        for gname in BIPAR_G:
+            m, n = shapes[gname]
+            yield _claim("thm-bipar", f"P:({h})x({gname})", {"parts": [l * n] * m}, _measure_parts)
+    yield _claim(
+        "left-engel",
+        "S:4",
+        {"matches": True, "baer_valid": True, "size": 4},
+        _measure_left_engel(_s4_klein_four),
+    )
+    for spec in ("A:4", "P:(C:3)x(D:6)"):
+        expected = {"classification": topology.CLASS_TOROIDAL, "clique_at_most_4": True}
+        yield _claim("genus-class-gen", spec, expected, _measure_class_and_clique)
+
+    # the three projective groups, via the surface pipeline
+    for spec in ("D:6", "D:12", "Q:12"):
+        yield _claim("projective", spec, {"projective": True, "planar": True}, _measure_projective)
+    # D_6 -> K_3 carries the crosscap-1 formula value
+    yield _claim(
+        "projective",
+        "D:6",
+        {"crosscap": 1},
+        lambda g: {"crosscap": topology.surface_class_of_reduced(g).crosscap},
+    )
+    # the proof's obstructions: a K_{m,n} subgraph of crosscap 2
+    for spec, (m, n) in (("A:4", (4, 4)), ("P:(C:3)x(D:6)", (6, 3))):
+        yield _claim(
+            "projective",
+            spec,
+            {f"crosscap_K{m}{n}": 2, "projective": False},
+            lambda g, m=m, n=n: {
+                f"crosscap_K{m}{n}": topology.crosscap_complete_bipartite(m, n),
+                "projective": topology.surface_class_of_reduced(g).projective,
+            },
+        )
+
+    for spec in ("Q:8", "C:6", "D:8"):
+        expected = {"nilpotent": True, "complete_digraph": True, "single_arcs": 0}
+        yield _claim("directed-single-arcs", spec, expected, _measure_nilpotent_digraph)
+    for spec in ["S:3", "S:4"] + [s for fam, s, _, _ in _realised() if fam != "d2m"]:
+        expected = {"soluble": True, "nilpotent": False, "has_single_arc": True}
+        yield _claim("directed-single-arcs", spec, expected, _measure_soluble_digraph)
+    for t, m in SWEEP_TM:
+        yield _claim(
+            "directed-single-arcs",
+            f"D:{2 ** (t + 1) * m}",
+            {"proposition_holds": True, "single_arcs_outside_L": 0},
+            _measure_dihedral_proposition,
+        )
+    yield _claim(
+        "directed-single-arcs", "S:4", {"nonempty": True, "order_3_to_2": True}, _measure_s4_singles
+    )
+
+    yield _claim(
         "a4-structure",
         "A:4",
         {"vertices": 8, "biclique_K44": True, "clique_at_most_4": True, "planar": False},
-        compute,
+        _measure_a4,
     )
 
 
 def all_claims() -> list[Claim]:
-    claims: list[Claim] = []
-    for gen in (
-        _claims_thm_dihed,
-        _claims_thm_pq,
-        _claims_thm_bipar,
-        _claims_left_engel,
-        _claims_genus_formula,
-        _claims_genus_class,
-        _claims_projective,
-        _claims_energy,
-        _claims_zagreb,
-        _claims_directed,
-        _claims_a4,
-    ):
-        claims.extend(gen())
-    return claims
+    # Records are sorted stably by (claim_id, group), so only the order of
+    # claims sharing that key shows in the output: parts before isomorphic
+    # (thm-dihed D:n), projective/planar before crosscap (D:6), soluble before
+    # the dihedral proposition (D sweep) and before order_3_to_2 (S:4).
+    return [*_claims_realised(), *_claims_other()]
 
 
 def run_paper_verification(

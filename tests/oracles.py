@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to pin expected test values.
 
-Everything here is deliberately naive and self-contained: groups are modelled
-with explicit element tuples (not index tables), graph searches are exhaustive,
-and polynomials come from permanent-style determinant expansion or from a
-modular Faddeev-LeVerrier kernel.  None of it shares code with the package
-under test.
+Everything here is deliberately naive: groups are modelled with explicit
+element tuples (not index tables), graph searches are exhaustive, and
+polynomials come from permanent-style determinant expansion or from a modular
+Faddeev-LeVerrier kernel.  None of it shares code with the package under test,
+except the isomorphism tests at the end, which take the package's groups and
+graphs and use its subgroup closure, quotients and multipartite recognition.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from engel_lab.analysis import recognize_complete_multipartite
+from engel_lab.graphs import SimpleGraph
+from engel_lab.groups import FiniteGroup, Subgroup, quotient_group, subgroup_generated
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +427,139 @@ def brute_energies(adj_spec, lap_spec, q_spec, n_edges, n_vertices):
     le = sum(abs(Fraction(v) - mean) * m for v, m in lap_spec)
     leq = sum(abs(Fraction(v) - mean) * m for v, m in q_spec)
     return e, le, leq
+
+
+# ---------------------------------------------------------------------------
+# isomorphism tests and element lookup on the package's groups and graphs
+
+
+def name_index(g, name):
+    """Index of the element of ``g`` printed as ``name``."""
+    try:
+        return g.element_names.index(name)
+    except ValueError:
+        raise KeyError(f"group {g.label} has no element named {name!r}") from None
+
+
+def _minimal_generating_sequence(g: FiniteGroup) -> list[int]:
+    gens: list[int] = []
+    closure = {g.identity}
+    for a in range(g.order):
+        if a not in closure:
+            gens.append(a)
+            closure = set(subgroup_generated(g, gens).members)
+            if len(closure) == g.order:
+                break
+    return gens
+
+
+def are_isomorphic_small(g: FiniteGroup, h: FiniteGroup, limit: int = 24) -> bool:
+    """Isomorphism test by generator-image backtracking; intended for orders
+    up to ``limit``."""
+    if g.order != h.order:
+        return False
+    if g.order > limit:
+        raise ValueError(f"isomorphism test limited to order {limit}")
+    if g.order_census() != h.order_census():
+        return False
+    gens = _minimal_generating_sequence(g)
+    orders = [g.element_order(a) for a in gens]
+    by_order: dict[int, list[int]] = {}
+    for b in range(h.order):
+        by_order.setdefault(h.element_order(b), []).append(b)
+
+    def try_images(images: list[int]) -> bool:
+        # grow the hom from generator images by closing under products
+        mapping = {g.identity: h.identity}
+        frontier = [g.identity]
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for gen, img in zip(gens, images):
+                    prod = g.table[a][gen]
+                    want = h.table[mapping[a]][img]
+                    got = mapping.get(prod)
+                    if got is None:
+                        mapping[prod] = want
+                        nxt.append(prod)
+                    elif got != want:
+                        return False
+            frontier = nxt
+        if len(mapping) != g.order or len(set(mapping.values())) != g.order:
+            return False
+        return all(
+            mapping[g.table[a][b]] == h.table[mapping[a]][mapping[b]]
+            for a in range(g.order)
+            for b in range(g.order)
+        )
+
+    def backtrack(pos: int, images: list[int]) -> bool:
+        if pos == len(gens):
+            return try_images(images)
+        for cand in by_order.get(orders[pos], []):
+            if backtrack(pos + 1, images + [cand]):
+                return True
+        return False
+
+    return backtrack(0, [])
+
+
+def quotient_iso_check(g: FiniteGroup, s: Subgroup, target: FiniteGroup) -> bool:
+    """True iff G/S is isomorphic to the (small) target group."""
+    if g.order % s.size or g.order // s.size > 24:
+        raise ValueError("quotient isomorphism check limited to |G/S| <= 24")
+    return are_isomorphic_small(quotient_group(g, s), target)
+
+
+ISO_VERTEX_LIMIT = 12
+
+
+def _iso_backtrack(g1: SimpleGraph, g2: SimpleGraph) -> bool:
+    n = g1.n
+    deg1, deg2 = g1.degrees(), g2.degrees()
+    if sorted(deg1) != sorted(deg2):
+        return False
+    order = sorted(range(n), key=lambda v: (-deg1[v], v))
+    mapping = [-1] * n
+    used = [False] * n
+
+    def place(k: int) -> bool:
+        if k == n:
+            return True
+        v = order[k]
+        for w in range(n):
+            if used[w] or deg2[w] != deg1[v]:
+                continue
+            ok = True
+            for prev in order[:k]:
+                if g1.has_edge(v, prev) != g2.has_edge(w, mapping[prev]):
+                    ok = False
+                    break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if place(k + 1):
+                    return True
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    return place(0)
+
+
+def graphs_isomorphic_small(g1: SimpleGraph, g2: SimpleGraph) -> bool:
+    """Isomorphism for graphs that are recognised complete multipartite (any
+    size; compared by shape) or have at most 12 vertices (backtracking)."""
+    if g1.n != g2.n:
+        return False
+    s1 = recognize_complete_multipartite(g1)
+    s2 = recognize_complete_multipartite(g2)
+    if s1 is not None and s2 is not None:
+        return s1.parts == s2.parts
+    if (s1 is None) != (s2 is None):
+        return False
+    if g1.n > ISO_VERTEX_LIMIT:
+        raise ValueError(
+            f"general isomorphism limited to {ISO_VERTEX_LIMIT} vertices"
+        )
+    return _iso_backtrack(g1, g2)

@@ -20,6 +20,8 @@ from engel_lab.topology import (
     CLASS_TRIPLE,
 )
 
+from oracles import graphs_isomorphic_small
+
 SWEEP_TM = [(t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9)]
 SWEEP_M = (3, 5, 7, 9)
 SWEEP_PQ = ((2, 3), (2, 5), (2, 7), (3, 7), (3, 13), (5, 11))
@@ -63,7 +65,7 @@ def test_criterion_01_realization_dihedral():
         shape_q = _shape(f"Q:{order}")
         assert shape_d is not None and shape_d.parts == want, (t, m)
         assert shape_q is not None and shape_q.parts == want, (t, m)
-        assert el.graphs_isomorphic_small(_reduced(f"D:{order}"), _reduced(f"Q:{order}"))
+        assert graphs_isomorphic_small(_reduced(f"D:{order}"), _reduced(f"Q:{order}"))
     for m in SWEEP_M:
         shape = _shape(f"D:{2 * m}")
         assert shape.parts == (1,) * m  # K_m

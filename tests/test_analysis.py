@@ -13,6 +13,7 @@ from engel_lab.analysis import MultipartiteShape
 from engel_lab.graphs import SimpleGraph, complete_multipartite_graph
 
 import oracles
+from oracles import graphs_isomorphic_small
 
 
 # --- recognition
@@ -184,6 +185,34 @@ def test_planar_agrees_with_kuratowski_oracle_random(data):
     assert el.is_planar(graph) == oracles.planar_by_kuratowski(n, edges)
 
 
+def _nx_planar(graph):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(graph.n))
+    nxg.add_edges_from(graph.edges())
+    return nx.check_planarity(nxg)[0]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_planar_matches_networkx_on_random_graphs(data):
+    # n < 3 and every edge count up to complete, so the Euler shortcut is
+    # taken on the dense draws and the full test on the sparse ones
+    n = data.draw(st.integers(min_value=0, max_value=13))
+    pairs = data.draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    edges = pairs[: data.draw(st.integers(min_value=0, max_value=len(pairs)))]
+    graph = SimpleGraph.from_edges(n, edges)
+    assert el.is_planar(graph) == _nx_planar(graph)
+
+
+def test_planar_matches_networkx_on_dense_reduced_graphs(monkeypatch):
+    graphs = [el.reduced_co_engel_graph(el.build_group(s)) for s in ("S:4", "A:5")]
+    assert [_nx_planar(g) for g in graphs] == [False, False]
+    # both exceed Euler's bound, so the verdict needs no left-right test
+    assert all(g.n_edges() > 3 * g.n - 6 for g in graphs)
+    monkeypatch.setattr(nx, "check_planarity", None)
+    assert [el.is_planar(g) for g in graphs] == [False, False]
+
+
 @pytest.mark.parametrize(
     "a,b",
     [
@@ -244,26 +273,26 @@ def test_biclique_overlap_raises():
 def test_iso_reduced_d12_q12():
     g1 = el.reduced_co_engel_graph(el.build_group("D:12"))
     g2 = el.reduced_co_engel_graph(el.build_group("Q:12"))
-    assert el.graphs_isomorphic_small(g1, g2)
+    assert graphs_isomorphic_small(g1, g2)
 
 
 def test_iso_k3_vs_path_false():
     k3 = complete_multipartite_graph([1, 1, 1])
     p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert not el.graphs_isomorphic_small(k3, p3)
+    assert not graphs_isomorphic_small(k3, p3)
 
 
 def test_iso_c3xd6_is_k333():
     graph = el.reduced_co_engel_graph(el.build_group("P:(C:3)x(D:6)"))
-    assert el.graphs_isomorphic_small(graph, complete_multipartite_graph([3, 3, 3]))
+    assert graphs_isomorphic_small(graph, complete_multipartite_graph([3, 3, 3]))
 
 
 def test_iso_backtracking_on_cycles():
     c5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     c5_relabelled = SimpleGraph.from_edges(5, [(2, 4), (4, 1), (1, 3), (3, 0), (0, 2)])
     p5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert el.graphs_isomorphic_small(c5, c5_relabelled)
-    assert not el.graphs_isomorphic_small(c5, p5)
+    assert graphs_isomorphic_small(c5, c5_relabelled)
+    assert not graphs_isomorphic_small(c5, p5)
 
 
 def test_iso_dihedral_quaternion_sweep():
@@ -271,7 +300,7 @@ def test_iso_dihedral_quaternion_sweep():
         order = 2 ** (t + 1) * m
         g1 = el.reduced_co_engel_graph(el.build_group(f"D:{order}"))
         g2 = el.reduced_co_engel_graph(el.build_group(f"Q:{order}"))
-        assert el.graphs_isomorphic_small(g1, g2)
+        assert graphs_isomorphic_small(g1, g2)
 
 
 def test_iso_size_limit_for_general_graphs():
@@ -280,15 +309,15 @@ def test_iso_size_limit_for_general_graphs():
     # them; perturb to leave the multipartite class
     g1 = SimpleGraph.from_edges(13, [(0, i) for i in range(1, 13)] + [(1, 2)])
     g2 = SimpleGraph.from_edges(13, [(0, i) for i in range(1, 13)] + [(2, 3)])
-    assert el.graphs_isomorphic_small(star_a, complete_multipartite_graph([12, 1]))
+    assert graphs_isomorphic_small(star_a, complete_multipartite_graph([12, 1]))
     with pytest.raises(ValueError, match="limited"):
-        el.graphs_isomorphic_small(g1, g2)
+        graphs_isomorphic_small(g1, g2)
 
 
 def test_iso_multipartite_vs_non_multipartite():
     k4 = complete_multipartite_graph([1] * 4)
     path = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert not el.graphs_isomorphic_small(k4, path)
+    assert not graphs_isomorphic_small(k4, path)
 
 
 # --- graph type invariants

@@ -15,6 +15,7 @@ from engel_lab.engel import engel_relation, validate_left_engel_baer
 from engel_lab.verify import _soluble_catalog
 
 import oracles
+from oracles import name_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import groupmodel  # noqa: E402
@@ -22,7 +23,7 @@ import groupmodel  # noqa: E402
 
 def _verdict(spec, xname, yname):
     g = el.build_group(spec)
-    return el.engel_verdict(g, g.name_index(xname), g.name_index(yname))
+    return el.engel_verdict(g, name_index(g, xname), name_index(g, yname))
 
 
 # --- engel_verdict
@@ -67,7 +68,7 @@ def test_verdict_matches_oracle_exhaustive_d24():
 def test_verdict_non_terminating_truly_never_hits_identity():
     # assert over one full cycle past the tail
     g = el.build_group("D:24")
-    x, y = g.name_index("x"), g.name_index("x*y")
+    x, y = name_index(g, "x"), name_index(g, "x*y")
     v = el.engel_verdict(g, x, y)
     assert not v.terminates
     a = g.commutator(x, y)

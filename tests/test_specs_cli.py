@@ -76,7 +76,7 @@ def test_explicit_frobenius_residue_specs():
     g1 = el.build_group("F:3:7:2")
     g2 = el.build_group("F:3:7:4")  # 4^3 = 64 = 1 mod 7
     assert g1.order == g2.order == 21
-    from engel_lab.groups import are_isomorphic_small
+    from oracles import are_isomorphic_small
 
     assert are_isomorphic_small(g1, g2)
 
@@ -109,6 +109,58 @@ def test_verification_max_order_skips():
     skipped = [r for r in records if r.status == "skipped"]
     assert skipped and all("exceeds" in r.computed["skipped"] for r in skipped)
     assert {r.group for r in skipped} == {"F:3:13", "F:5:11"}
+
+
+def test_verification_records_do_not_repeat():
+    records = run_paper_verification()
+    triples = [(r.claim_id, r.group, json.dumps(r.expected, sort_keys=True)) for r in records]
+    repeated = sorted({t for t in triples if triples.count(t) > 1})
+    assert repeated == []
+
+
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+def test_verification_genus_expected_sides_match_the_theorems():
+    sweep_tm = [(t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9)]
+    sweep_pq = ((2, 3), (2, 5), (2, 7), (3, 7), (3, 13), (5, 11))
+    want = {}
+    for t, m in sweep_tm:
+        genus = m * (m - 1) * (2 ** (t - 1) - 1) ** 2 // 2 + _ceil_div((m - 3) * (m - 4), 12)
+        for fam in ("D", "Q"):
+            want["genus-formula-D", f"{fam}:{2 ** (t + 1) * m}"] = {"genus": genus}
+    for m in (3, 5, 7, 9):  # K_m
+        want["genus-formula-D", f"D:{2 * m}"] = {"genus": _ceil_div((m - 3) * (m - 4), 12)}
+    for p, q in sweep_pq:
+        if p == 2:
+            genus = _ceil_div((q - 3) * (q - 4), 12)
+        else:
+            genus = (q * (q - 1) // 2) * _ceil_div((p - 3) ** 2, 4) + _ceil_div(
+                (q - 3) * (q - 4), 12
+            )
+        want["genus-formula-F", f"F:{p}:{q}"] = {"genus": genus}
+
+    dq_table = {(1, 3): "planar", (1, 5): "toroidal", (1, 7): "toroidal",
+                (1, 9): "triple-toroidal", (2, 3): "triple-toroidal"}
+    d2m_table = {3: "planar", 5: "toroidal", 7: "toroidal", 9: "triple-toroidal"}
+    f_table = {(2, 3): "planar", (2, 5): "toroidal", (2, 7): "toroidal", (3, 7): "toroidal"}
+    for t, m in sweep_tm:
+        for fam in ("D", "Q"):
+            want["genus-class-D", f"{fam}:{2 ** (t + 1) * m}"] = {
+                "classification": dq_table.get((t, m), "genus >= 5")}
+    for m in (3, 5, 7, 9, 11):
+        want["genus-class-D", f"D:{2 * m}"] = {
+            "classification": d2m_table.get(m, "genus >= 5")}
+    for p, q in sweep_pq:
+        want["genus-class-F", f"F:{p}:{q}"] = {
+            "classification": f_table.get((p, q), "genus >= 5")}
+    for spec in ("A:4", "P:(C:3)x(D:6)"):
+        want["genus-class-gen", spec] = {"classification": "toroidal", "clique_at_most_4": True}
+
+    got = {(r.claim_id, r.group): r.expected for r in run_paper_verification()
+           if r.claim_id.startswith("genus-")}
+    assert got == want
 
 
 # --- CLI
