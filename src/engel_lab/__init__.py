@@ -40,7 +40,6 @@ from .groups import (
     is_nilpotent,
     is_normal,
     is_soluble,
-    quotient_group,
     subgroup_generated,
     upper_central_series,
     validate_group,

@@ -2,7 +2,8 @@
 
 Complete-multipartite certification works from non-adjacency classes: the
 graph is K_{n_1,...,n_k} iff "equal or non-adjacent" is an equivalence
-relation, in which case the classes are the parts.
+relation, in which case the classes are the parts.  Recognition is one array
+test on the adjacency matrix; only the clique search packs rows into bitsets.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import networkx as nx
+import numpy as np
 
 from .graphs import SimpleGraph
 
@@ -59,22 +61,14 @@ def recognize_complete_multipartite(g: SimpleGraph) -> Optional[MultipartiteShap
     with completely joined classes; the parts are the class sizes."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    full = (1 << g.n) - 1
-    nonadj = [full ^ g.rows[i] for i in range(g.n)]  # includes the vertex itself
-    classes = set()
-    for i in range(g.n):
-        cls = nonadj[i]
-        rest = cls
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            if nonadj[j] != cls:
-                return None
-            rest &= rest - 1
-        classes.add(cls)
-    # distinct classes are completely joined by construction once the
-    # partition check passes (anything outside the class is adjacent)
-    parts = tuple(sorted((c.bit_count() for c in classes), reverse=True))
-    return MultipartiteShape(parts)
+    nonadj = ~g.adj  # "equal or non-adjacent": a simple graph has no loops
+    # rep[i] is the least vertex equal or non-adjacent to i; the relation is
+    # an equivalence iff it is "same rep", and then rep names i's class
+    rep = nonadj.argmax(axis=1)
+    if not np.array_equal(nonadj, rep[:, None] == rep[None, :]):
+        return None
+    parts = np.unique(rep, return_counts=True)[1]
+    return MultipartiteShape(tuple(sorted(parts.tolist(), reverse=True)))
 
 
 def clique_number(g: SimpleGraph, max_vertices: int = CLIQUE_VERTEX_LIMIT) -> int:
@@ -93,17 +87,9 @@ def clique_number(g: SimpleGraph, max_vertices: int = CLIQUE_VERTEX_LIMIT) -> in
     if g.n == 0:
         return 0
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # adjacency re-indexed to the search order
-    rows = [0] * g.n
-    for v in range(g.n):
-        row = g.rows[v]
-        mask = 0
-        while row:
-            w = (row & -row).bit_length() - 1
-            mask |= 1 << pos[w]
-            row &= row - 1
-        rows[pos[v]] = mask
+    # adjacency re-indexed to the search order, row i as a bitset of columns
+    packed = np.packbits(g.adj[np.ix_(order, order)], axis=1, bitorder="little")
+    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
     best = 0
 
     def expand(cand: int, size: int) -> None:
@@ -153,4 +139,4 @@ def verify_biclique(
     lset, rset = set(left), set(right)
     if lset & rset:
         raise ValueError(f"biclique sides overlap: {sorted(lset & rset)}")
-    return all(g.has_edge(i, j) for i in lset for j in rset)
+    return bool(g.adj[np.ix_(list(lset), list(rset))].all())

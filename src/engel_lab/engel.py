@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import DirectedGraph, SimpleGraph, bit_rows, pair_list
+from .graphs import DirectedGraph, SimpleGraph, pair_list
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -170,7 +170,7 @@ def _co_engel_matrix(g: FiniteGroup) -> np.ndarray:
 def co_engel_graph(g: FiniteGroup) -> SimpleGraph:
     """Full co-Engel graph on all of G: x ~ y iff neither Engel sequence
     ([x,_k y] or [y,_k x]) ever reaches the identity."""
-    return SimpleGraph(g.order, bit_rows(_co_engel_matrix(g)), labels=g.element_names)
+    return SimpleGraph(_co_engel_matrix(g), labels=g.element_names)
 
 
 @lru_cache(maxsize=128)
@@ -184,7 +184,7 @@ def reduced_co_engel_graph(g: FiniteGroup) -> SimpleGraph:
         )
     adj = _co_engel_matrix(g)[np.ix_(kept, kept)]
     labels = tuple(g.element_names[e] for e in kept)
-    return SimpleGraph(len(kept), bit_rows(adj), labels=labels)
+    return SimpleGraph(adj, labels=labels)
 
 
 @lru_cache(maxsize=128)
@@ -192,12 +192,12 @@ def directed_engel_graph(g: FiniteGroup) -> DirectedGraph:
     """Arc x -> y iff [y, _k x] = 1 for some k (x != y)."""
     arcs = engel_relation(g).T.copy()
     np.fill_diagonal(arcs, False)
-    return DirectedGraph(g.order, bit_rows(arcs), labels=g.element_names)
+    return DirectedGraph(arcs, labels=g.element_names)
 
 
 def single_arc_pairs(d: DirectedGraph) -> list[tuple[int, int]]:
     """All (x, y) with x -> y but not y -> x, in lexicographic order."""
-    m = d.matrix()
+    m = d.adj
     return pair_list(np.nonzero(m & ~m.T))
 
 
@@ -205,5 +205,5 @@ def single_arcs_outside_left_engel(g: FiniteGroup) -> list[tuple[int, int]]:
     """Single arcs of the directed Engel graph with both ends outside L(G)."""
     outside = np.ones(g.order, dtype=bool)
     outside[list(left_engel_set(g))] = False
-    m = directed_engel_graph(g).matrix()
+    m = directed_engel_graph(g).adj
     return pair_list(np.nonzero(m & ~m.T & outside[:, None] & outside[None, :]))

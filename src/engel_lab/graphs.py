@@ -1,11 +1,13 @@
-"""Undirected and directed graphs on vertex indices, with bitmask adjacency rows.
+"""Undirected and directed graphs on vertex indices, stored as one read-only
+n x n bool adjacency matrix.
 
-Both classes read their edges from one enumeration: the bitmask rows are
-unpacked into a bool matrix and ``np.nonzero`` lists its pairs in row-major,
-i.e. lexicographic, order (upper triangle only for undirected graphs).  The
-DOT and JSON wire formats are written from that list, so serialised output
-is byte-reproducible; ``to_json`` is the text of ``json.dumps`` of
-``to_json_obj`` with ``sort_keys=True, indent=2``, plus a newline.
+Both classes read their edges from one enumeration: ``np.nonzero`` of the
+matrix lists its pairs in row-major, i.e. lexicographic, order (upper
+triangle only for undirected graphs).  The DOT and JSON wire formats are
+written from that list, so serialised output is byte-reproducible;
+``to_json`` is the text of ``json.dumps`` of ``to_json_obj`` with
+``sort_keys=True, indent=2``, plus a newline.  Accessors return Python ints
+and bools.
 """
 
 from __future__ import annotations
@@ -18,32 +20,17 @@ import numpy as np
 _JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
 
 
-def _bitrows_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool):
-    rows = [0] * n
+def _matrix_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool):
+    adj = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"vertex pair ({i},{j}) out of range for n={n}")
         if i == j:
             raise ValueError(f"self-loop at vertex {i} not allowed")
-        rows[i] |= 1 << j
+        adj[i, j] = True
         if symmetric:
-            rows[j] |= 1 << i
-    return tuple(rows)
-
-
-def bit_rows(adj: np.ndarray) -> tuple[int, ...]:
-    """Bitmask rows of a bool matrix, bit j = column j."""
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
-def bool_matrix(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """The n x n bool matrix of bitmask rows (the inverse of ``bit_rows``)."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(
-        packed.reshape(n, width), axis=1, count=n, bitorder="little"
-    ).view(bool)
+            adj[j, i] = True
+    return adj
 
 
 def pair_list(index: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
@@ -52,10 +39,21 @@ def pair_list(index: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-class _Exports:
-    """Label lookup and the DOT and JSON writers shared by both graph classes;
-    a subclass has ``n`` and ``labels`` and provides ``pair_arrays()`` and
-    ``_DOT``, its DOT keyword and edge operator."""
+@dataclass(frozen=True, eq=False)
+class _Graph:
+    """The adjacency matrix, labels, and the DOT and JSON writers shared by
+    both graph classes; a subclass provides ``pair_arrays()`` and ``_DOT``,
+    its DOT keyword and edge operator.  The matrix is made read-only here."""
+
+    adj: np.ndarray
+    labels: Optional[tuple[str, ...]] = None
+
+    def __post_init__(self):
+        self.adj.flags.writeable = False
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
 
     def _flat_pairs(self) -> list[int]:
         """i0, j0, i1, j1, ... over the lexicographic pair list; entries are
@@ -86,105 +84,92 @@ class _Exports:
         return f'{keyword} "{name}" {{\n{vertices}{edges}}}\n'
 
 
-@dataclass(frozen=True, eq=False)
-class SimpleGraph(_Exports):
-    """Loop-free undirected graph; ``rows[i]`` is the neighbour bitmask of i."""
+class SimpleGraph(_Graph):
+    """Loop-free undirected graph; ``adj`` is symmetric with a clear diagonal."""
 
-    n: int
-    rows: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
     _DOT = ("graph", "--")
 
     @classmethod
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int]], labels=None
     ) -> "SimpleGraph":
-        return cls(n, _bitrows_from_pairs(n, edges, symmetric=True),
+        return cls(_matrix_from_pairs(n, edges, symmetric=True),
                    tuple(labels) if labels is not None else None)
 
     def validate(self) -> None:
-        for i, row in enumerate(self.rows):
-            if row >> self.n:
-                raise ValueError(f"row {i} addresses vertices >= n")
-            if row & (1 << i):
-                raise ValueError(f"self-loop at vertex {i}")
-            for j in range(self.n):
-                if bool(row & (1 << j)) != bool(self.rows[j] & (1 << i)):
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        adj = self.adj
+        if adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(
+                f"adjacency must be a square bool matrix, got {adj.dtype} {adj.shape}"
+            )
+        loops = np.flatnonzero(adj.diagonal())
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        i, j = np.nonzero(adj != adj.T)
+        if i.size:
+            raise ValueError(f"adjacency not symmetric at ({i[0]},{j[0]})")
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] & (1 << j))
+        return bool(self.adj[i, j])
 
     def degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
+        return int(np.count_nonzero(self.adj[i]))
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return np.count_nonzero(self.adj, axis=1).tolist()
 
     def n_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
-    def matrix(self) -> np.ndarray:
-        return bool_matrix(self.rows, self.n)
+        return int(np.count_nonzero(self.adj)) // 2
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (i, j), i < j, of the edges in lexicographic order."""
-        return np.nonzero(np.triu(self.matrix(), 1))
+        return np.nonzero(np.triu(self.adj, 1))
 
     def edges(self) -> list[tuple[int, int]]:
         return pair_list(self.pair_arrays())
 
     def n_components(self) -> int:
-        unseen, count = (1 << self.n) - 1, 0
-        while unseen:
+        unseen, count = np.ones(self.n, dtype=bool), 0
+        while unseen.any():
             count += 1
-            comp = frontier = unseen & -unseen
-            while frontier:  # grow comp one vertex of the frontier at a time
-                v = frontier.bit_length() - 1
-                new = self.rows[v] & ~comp
-                comp |= new
-                frontier = (frontier ^ (1 << v)) | new
+            comp = np.zeros(self.n, dtype=bool)
+            comp[unseen.argmax()] = True
+            while True:  # grow comp by all neighbours of its vertices
+                grown = comp | self.adj[comp].any(axis=0)
+                if np.array_equal(grown, comp):
+                    break
+                comp = grown
             unseen &= ~comp
         return count
 
 
-@dataclass(frozen=True, eq=False)
-class DirectedGraph(_Exports):
-    """Loop-free directed graph; ``out_rows[i]`` is the out-neighbour bitmask."""
+class DirectedGraph(_Graph):
+    """Loop-free directed graph; ``adj[i, j]`` is the arc i -> j."""
 
-    n: int
-    out_rows: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
     _DOT = ("digraph", "->")
 
     @classmethod
     def from_arcs(
         cls, n: int, arcs: Iterable[tuple[int, int]], labels=None
     ) -> "DirectedGraph":
-        return cls(n, _bitrows_from_pairs(n, arcs, symmetric=False),
+        return cls(_matrix_from_pairs(n, arcs, symmetric=False),
                    tuple(labels) if labels is not None else None)
 
     def has_arc(self, i: int, j: int) -> bool:
-        return bool(self.out_rows[i] & (1 << j))
+        return bool(self.adj[i, j])
 
     def n_arcs(self) -> int:
-        return sum(r.bit_count() for r in self.out_rows)
-
-    def matrix(self) -> np.ndarray:
-        return bool_matrix(self.out_rows, self.n)
+        return int(np.count_nonzero(self.adj))
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (i, j) of the arcs in lexicographic order."""
-        return np.nonzero(self.matrix())
+        return np.nonzero(self.adj)
 
     def arcs(self) -> list[tuple[int, int]]:
         return pair_list(self.pair_arrays())
 
     def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(
-            self.out_rows[i] == full ^ (1 << i) for i in range(self.n)
-        )
+        return np.array_equal(self.adj, ~np.eye(self.n, dtype=bool))
 
 
 def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
@@ -193,4 +178,4 @@ def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
     if any(s < 1 for s in sizes):
         raise ValueError("part sizes must be positive")
     part_of = np.repeat(np.arange(len(sizes)), sizes)
-    return SimpleGraph(len(part_of), bit_rows(part_of[:, None] != part_of[None, :]))
+    return SimpleGraph(part_of[:, None] != part_of[None, :])

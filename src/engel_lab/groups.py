@@ -482,24 +482,6 @@ def is_normal(g: FiniteGroup, s: Subgroup | Iterable[int]) -> bool:
     return True
 
 
-def cosets(g: FiniteGroup, s: Subgroup) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, coset_of): the least elements of the cosets aS, ascending, and
-    for each element a the index in reps of its coset."""
-    least = g.table[:, list(s.members)].min(axis=1)
-    reps = np.unique(least)
-    return reps, np.searchsorted(reps, least)
-
-
-def quotient_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
-    """G/S for normal S; cosets are indexed by ascending minimal representative."""
-    if not is_normal(g, s):
-        raise ValueError("cannot form quotient by a non-normal subgroup")
-    reps, coset_of = cosets(g, s)
-    names = [f"[{g.element_names[a]}]" for a in reps]
-    product = lambda u, v: coset_of[g.table[reps[u], reps[v]]]
-    return _finalize(len(reps), product, names, (), f"{g.label}/|{s.size}|")
-
-
 # ---------------------------------------------------------------------------
 # validation
 

@@ -492,12 +492,11 @@ def spectrum_report(g: SimpleGraph) -> SpectrumReport:
     n = g.n
     if n < 1:
         raise ValueError("spectrum report needs at least one vertex")
-    adj = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
-    deg = g.degrees()
-    lap = [[(deg[i] if i == j else 0) - adj[i][j] for j in range(n)] for i in range(n)]
-    sig = [[(deg[i] if i == j else 0) + adj[i][j] for j in range(n)] for i in range(n)]
-    polys = tuple(char_poly_exact(m) for m in (adj, lap, sig))
-    max_deg = max(deg) if deg else 0
+    adj = g.adj.astype(np.int64)
+    deg = adj.sum(axis=1)
+    matrices = (adj, np.diag(deg) - adj, np.diag(deg) + adj)
+    polys = tuple(char_poly_exact(m.tolist()) for m in matrices)
+    max_deg = int(deg.max())
     bounds = (max(1, max_deg), max(1, 2 * max_deg), max(1, 2 * max_deg))
     spectra = tuple(integer_roots(p, b) for p, b in zip(polys, bounds))
     return _assemble_report(n, g.n_edges(), polys, spectra)

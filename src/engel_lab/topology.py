@@ -227,7 +227,7 @@ def zagreb_report(g: SimpleGraph) -> ZagrebReport:
     if g.n < 1:
         raise ValueError("Zagreb report needs at least one vertex")
     # exact in int64 since (n-1)^2 * edges < n^4 / 2 < 2^63 for any n < 2^16
-    deg = np.array(g.degrees(), dtype=np.int64)
+    deg = g.adj.sum(axis=1, dtype=np.int64)
     m1 = int((deg * deg).sum())
     i, j = g.pair_arrays()
     m2 = int((deg[i] * deg[j]).sum())

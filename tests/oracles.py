@@ -4,8 +4,9 @@ Everything here is deliberately naive: groups are modelled with explicit
 element tuples (not index tables), graph searches are exhaustive, and
 polynomials come from permanent-style determinant expansion or from a modular
 Faddeev-LeVerrier kernel.  None of it shares code with the package under test,
-except the isomorphism tests at the end, which take the package's groups and
-graphs and use its subgroup closure, quotients and multipartite recognition.
+except the quotient and isomorphism tests at the end, which take the
+package's groups and graphs and use its table wrapper, normality test,
+subgroup closure and multipartite recognition.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from engel_lab.analysis import recognize_complete_multipartite
 from engel_lab.graphs import SimpleGraph
-from engel_lab.groups import FiniteGroup, Subgroup, quotient_group, subgroup_generated
+from engel_lab.groups import FiniteGroup, Subgroup, from_table, is_normal, subgroup_generated
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +503,19 @@ def are_isomorphic_small(g: FiniteGroup, h: FiniteGroup, limit: int = 24) -> boo
         return False
 
     return backtrack(0, [])
+
+
+def quotient_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
+    """G/S for normal S; cosets are indexed by ascending least member."""
+    if not is_normal(g, s):
+        raise ValueError("cannot form quotient by a non-normal subgroup")
+    least = g.table[:, list(s.members)].min(axis=1)
+    reps = np.unique(least)
+    coset_of = np.searchsorted(reps, least)
+    names = [f"[{g.element_names[a]}]" for a in reps]
+    return from_table(
+        coset_of[g.table[np.ix_(reps, reps)]], names, label=f"{g.label}/|{s.size}|"
+    )
 
 
 def quotient_iso_check(g: FiniteGroup, s: Subgroup, target: FiniteGroup) -> bool:

@@ -4,6 +4,7 @@ import itertools
 import json
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import engel_lab as el
 from engel_lab.analysis import MultipartiteShape
 from engel_lab.graphs import SimpleGraph, complete_multipartite_graph
+from engel_lab.verify import _soluble_catalog
 
 import oracles
 from oracles import graphs_isomorphic_small
@@ -76,13 +78,38 @@ def test_recognition_agrees_with_oracle_on_random_graphs(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for p in pairs if data.draw(st.booleans())]
-    graph = SimpleGraph.from_edges(n, edges)
+    _assert_recognition_matches_oracle(SimpleGraph.from_edges(n, edges))
+
+
+def _assert_recognition_matches_oracle(graph):
     got = el.recognize_complete_multipartite(graph)
-    want = oracles.is_complete_multipartite_oracle(n, edges)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None and list(got.parts) == want
+    want = oracles.is_complete_multipartite_oracle(graph.n, graph.edges())
+    assert (None if got is None else list(got.parts)) == want
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_recognition_agrees_with_oracle_one_flip_from_multipartite(data):
+    # a complete multipartite graph (parts = equal labels) with one vertex
+    # pair flipped: a near miss, or a merge or split of singleton parts
+    part_of = np.array(data.draw(st.lists(st.integers(0, 7), min_size=2, max_size=24)))
+    i, j = data.draw(st.lists(st.integers(0, len(part_of) - 1), min_size=2,
+                              max_size=2, unique=True))
+    adj = part_of[:, None] != part_of[None, :]
+    adj[i, j] = adj[j, i] = not adj[i, j]
+    _assert_recognition_matches_oracle(SimpleGraph(adj))
+
+
+RECOGNITION_SPECS = [
+    spec
+    for spec in dict.fromkeys(_soluble_catalog(48) + ["S:4", "A:5", "S:5", "D:384"])
+    if not el.is_nilpotent(el.build_group(spec))
+]
+
+
+@pytest.mark.parametrize("spec", RECOGNITION_SPECS)
+def test_recognition_agrees_with_oracle_on_reduced_graphs(spec):
+    _assert_recognition_matches_oracle(el.reduced_co_engel_graph(el.build_group(spec)))
 
 
 # --- clique number
@@ -334,10 +361,20 @@ def test_simple_graph_rejects_out_of_range():
 
 
 def test_simple_graph_validate_catches_asymmetry():
-    g = SimpleGraph(2, (0b10, 0b00))
+    g = SimpleGraph(np.array([[False, True], [False, False]]))
     with pytest.raises(ValueError, match="symmetric"):
         g.validate()
     SimpleGraph.from_edges(2, [(0, 1)]).validate()
+
+
+def test_simple_graph_validate_catches_diagonal_entry_and_non_matrix():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[1, 1] = True
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        SimpleGraph(adj).validate()
+    for bad in (np.zeros((2, 3), dtype=bool), np.zeros((3, 3), dtype=np.int8)):
+        with pytest.raises(ValueError, match="square bool matrix"):
+            SimpleGraph(bad).validate()
 
 
 def test_graph_json_edges_lexicographic():

@@ -338,10 +338,7 @@ def test_directed_isolated_co_engel_vertices_dominate():
         g = el.build_group(spec)
         d = el.directed_engel_graph(g)
         full = el.co_engel_graph(g)
-        full_mask = (1 << g.order) - 1
-        dominating = {
-            x for x in range(g.order) if d.out_rows[x] == full_mask ^ (1 << x)
-        }
+        dominating = set(np.flatnonzero(d.adj.sum(axis=1) == g.order - 1).tolist())
         isolated = {x for x in range(g.order) if full.degree(x) == 0}
         assert dominating == isolated == set(el.left_engel_set(g))
 

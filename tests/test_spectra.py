@@ -139,8 +139,10 @@ DIFFERENTIAL_SPECS = [
 @pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS)
 def test_charpoly_matches_faddeev_leverrier_on_reduced_graphs(spec):
     graph = el.reduced_co_engel_graph(el.build_group(spec))
-    for matrix in _graph_matrices(graph):
-        _assert_matches_faddeev_leverrier(matrix)
+    polys = tuple(_assert_matches_faddeev_leverrier(m) for m in _graph_matrices(graph))
+    # spectrum_report builds the same three matrices as arrays
+    rep = el.spectrum_report(graph)
+    assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == polys
 
 
 def _coefficients_within_bounds(matrix, poly):
