@@ -17,7 +17,6 @@ from .engel import (
     engel_relation,
     engel_verdict,
     left_engel_set,
-    left_engel_subgroup,
     non_engel_elements,
     reduced_co_engel_graph,
     single_arc_pairs,
@@ -27,7 +26,6 @@ from .engel import (
 from .graphs import DirectedGraph, SimpleGraph, complete_multipartite_graph
 from .groups import (
     FiniteGroup,
-    Subgroup,
     build_alternating,
     build_cyclic,
     build_dihedral,

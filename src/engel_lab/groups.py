@@ -6,8 +6,9 @@ so downstream computations reduce to exact table arithmetic.  ``table`` and
 Each builder gives its table as one broadcast expression of row and column
 indices; the structure functions (centre, series, normality, closure, element
 orders) are array expressions over the table and the commutator map
-``c[y, a] = [a, y]``.  Builders are pure and enumerate elements in a
-documented, bit-reproducible order.
+``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group, whose
+commutator map also gives the subgroup's own series.  Builders are pure and
+enumerate elements in a documented, bit-reproducible order.
 """
 
 from __future__ import annotations
@@ -111,73 +112,38 @@ def commutator_map(g: FiniteGroup) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=128)
-def element_orders(g: FiniteGroup) -> np.ndarray:
-    """Read-only order of every element: the least k >= 1 with x^k = 1."""
+def _mask(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
+    """``inside`` as a subgroup mask of g; ValueError unless it is a bool
+    array of shape (order,), so that an index list is never read as one."""
+    inside = np.asarray(inside)
+    if inside.dtype != bool or inside.shape != (g.order,):
+        raise ValueError(f"{g.label}: a subgroup is a bool mask of shape ({g.order},)")
+    return inside
+
+
+def first_power_in(g: FiniteGroup, target: np.ndarray) -> np.ndarray:
+    """For every x, the least k >= 1 with x^k in the mask ``target``, which
+    must hold the identity (every x^|x| = 1 then bounds the walk): the
+    element orders for target {1}, the coset orders in G/N for a normal N."""
+    target = _mask(g, target)
+    if not target[g.identity]:
+        raise ValueError(f"{g.label}: the target of first_power_in lacks the identity")
     x = np.arange(g.order)
-    orders = np.zeros(g.order, dtype=np.intp)
+    first = np.zeros(g.order, dtype=np.intp)
     power, k = x, 1
     while True:
-        orders[(orders == 0) & (power == g.identity)] = k
-        if orders.all():
-            orders.flags.writeable = False
-            return orders
+        first[(first == 0) & target[power]] = k
+        if first.all():
+            return first
         power, k = g.table[power, x], k + 1
 
 
-def _subgroup(g: FiniteGroup, inside: np.ndarray) -> "Subgroup":
-    return Subgroup(g, tuple(np.flatnonzero(inside).tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class Subgroup:
-    """Subset of a parent group, stored as a sorted tuple of element indices."""
-
-    parent: FiniteGroup
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if tuple(sorted(set(self.members))) != self.members:
-            raise ValueError("subgroup members must be sorted and duplicate-free")
-        object.__setattr__(self, "_members_frozen", frozenset(self.members))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, idx: int) -> bool:
-        return idx in self._members_frozen
-
-    def validate(self) -> None:
-        """Identity and closure under products (which in a finite group
-        brings the inverses)."""
-        g = self.parent
-        m = np.array(self.members, dtype=np.intp)
-        inside = np.isin(np.arange(g.order), m)
-        if not inside[g.identity]:
-            raise ValueError("subgroup does not contain the identity")
-        for rows in _blocks(len(m), len(m)):
-            missing = ~inside[g.table[np.ix_(m[rows], m)]]
-            if missing.any():
-                i, j = np.unravel_index(missing.argmax(), missing.shape)
-                raise ValueError(
-                    f"subgroup not closed under product at ({m[rows][i]},{m[j]})"
-                )
-
-    def as_group(self, label: Optional[str] = None) -> FiniteGroup:
-        """The subgroup as a standalone group with reindexed table."""
-        self.validate()
-        g = self.parent
-        m = np.array(self.members, dtype=np.intp)
-        pos = np.zeros(g.order, dtype=np.intp)
-        pos[m] = np.arange(len(m))
-        return _finalize(
-            len(m),
-            lambda u, v: pos[g.table[m[u], m[v]]],
-            tuple(g.element_names[e] for e in self.members),
-            (),
-            label or f"{g.label}|subgroup{len(m)}",
-        )
+@lru_cache(maxsize=128)
+def element_orders(g: FiniteGroup) -> np.ndarray:
+    """Read-only order of every element: the least k >= 1 with x^k = 1."""
+    orders = first_power_in(g, np.arange(g.order) == g.identity)
+    orders.flags.writeable = False
+    return orders
 
 
 def _finalize(
@@ -408,9 +374,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 # structure
 
 
-def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
-    """Closure of the seed set under products (inverses come free in a finite
-    group)."""
+def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
+    """Mask of the closure of the seed elements (indices, not a mask) under
+    products (inverses come free in a finite group)."""
+    if getattr(seeds, "dtype", None) == bool:
+        raise ValueError("subgroup_generated takes element indices, not a mask")
     seeds = np.unique(np.fromiter(seeds, dtype=np.intp))
     inside = np.arange(g.order) == g.identity
     frontier = np.array([g.identity])
@@ -420,66 +388,73 @@ def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> Subgroup:
             reached[g.table[np.ix_(frontier[rows], seeds)]] = True
         frontier = np.flatnonzero(reached & ~inside)
         inside[frontier] = True
-    return _subgroup(g, inside)
+    return inside
 
 
-def center(g: FiniteGroup) -> Subgroup:
-    return _subgroup(g, (commutator_map(g) == g.identity).all(axis=1))
+def center(g: FiniteGroup) -> np.ndarray:
+    return (commutator_map(g) == g.identity).all(axis=1)
 
 
-def upper_central_series(g: FiniteGroup) -> list[Subgroup]:
-    """Z_0 = 1 <= Z_1 = Z(G) <= ... up to (and including) the stable term.
+def upper_central_series(
+    g: FiniteGroup, within: Optional[np.ndarray] = None
+) -> list[np.ndarray]:
+    """Z_0 = 1 <= Z_1 = Z(H) <= ... up to (and including) the stable term,
+    for the subgroup H with mask ``within`` (default G).
 
-    x lies in Z_{i+1} iff every [a, x] (row x of the commutator map) lies
-    in Z_i."""
+    x in H lies in Z_{i+1}(H) iff every [a, x] with a in H (row x of the
+    commutator map, restricted to H) lies in Z_i(H)."""
     c = commutator_map(g)
+    members = np.arange(g.order)
+    if within is not None:
+        members = np.flatnonzero(_mask(g, within))
+        c = c[np.ix_(members, members)]  # rows and columns over H
     inside = np.arange(g.order) == g.identity
-    series = [_subgroup(g, inside)]
+    series = [inside]
     while True:
-        nxt = np.empty_like(inside)
-        for rows in _blocks(g.order, g.order):
-            nxt[rows] = inside[c[rows]].all(axis=1)
+        nxt = np.zeros_like(inside)
+        for rows in _blocks(len(members), len(members)):
+            nxt[members[rows]] = inside[c[rows]].all(axis=1)
         if np.array_equal(nxt, inside):
             return series
         inside = nxt
-        series.append(_subgroup(g, inside))
+        series.append(inside)
 
 
-def hypercenter(g: FiniteGroup) -> Subgroup:
-    return upper_central_series(g)[-1]
+def hypercenter(g: FiniteGroup, within: Optional[np.ndarray] = None) -> np.ndarray:
+    return upper_central_series(g, within)[-1]
 
 
-def is_nilpotent(g: FiniteGroup) -> bool:
-    return hypercenter(g).size == g.order
+def is_nilpotent(g: FiniteGroup, within: Optional[np.ndarray] = None) -> bool:
+    """Whether the subgroup with mask ``within`` (default G) is nilpotent:
+    its upper central series reaches all of it."""
+    top = hypercenter(g, within)
+    return bool(top.all() if within is None else np.array_equal(top, within))
 
 
-def derived_series(g: FiniteGroup) -> list[Subgroup]:
+def derived_series(g: FiniteGroup) -> list[np.ndarray]:
     c = commutator_map(g)
-    series = [Subgroup(g, tuple(range(g.order)))]
+    series = [np.ones(g.order, dtype=bool)]
     while True:
-        cur = np.array(series[-1].members, dtype=np.intp)
+        cur = np.flatnonzero(series[-1])
         comms = np.zeros(g.order, dtype=bool)
         for rows in _blocks(len(cur), len(cur)):
             comms[c[np.ix_(cur[rows], cur)]] = True
         nxt = subgroup_generated(g, np.flatnonzero(comms))
-        if nxt.members == series[-1].members:
+        if np.array_equal(nxt, series[-1]):
             return series
         series.append(nxt)
 
 
 def is_soluble(g: FiniteGroup) -> bool:
-    return derived_series(g)[-1].size == 1
+    return int(np.count_nonzero(derived_series(g)[-1])) == 1
 
 
-def is_normal(g: FiniteGroup, s: Subgroup | Iterable[int]) -> bool:
-    members = np.array(sorted(set(s.members if isinstance(s, Subgroup) else s)), dtype=np.intp)
-    inside = np.isin(np.arange(g.order), members)
-    t, a = g.table, np.arange(g.order)
-    for rows in _blocks(len(members), g.order):
-        x = members[rows, None]
-        if not inside[t[t[g.inverse[None, :], x], a[None, :]]].all():
-            return False
-    return True
+def is_normal(g: FiniteGroup, inside: np.ndarray) -> bool:
+    """Whether the subgroup with mask ``inside`` is normal in g: each x^a =
+    x [x, a] of a member x lies in it iff [a, x] = [x, a]^-1 = c[x, a] does."""
+    inside = _mask(g, inside)
+    c, members = commutator_map(g), np.flatnonzero(inside)
+    return all(inside[c[members[rows]]].all() for rows in _blocks(len(members), g.order))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -484,7 +483,6 @@ def _assemble_report(
     )
 
 
-@lru_cache(maxsize=256)
 def spectrum_report(g: SimpleGraph) -> SpectrumReport:
     """Compute A, L = D - A, Q = D + A, their exact polynomials and integer
     spectra, and the exact energies (refused when any spectrum is not

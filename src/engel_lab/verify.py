@@ -256,7 +256,7 @@ def _measure_left_engel(members_of: Callable[[FiniteGroup], list[int]]):
 
 
 def _generated_by(name: str) -> Callable[[FiniteGroup], list[int]]:
-    return lambda g: sorted(subgroup_generated(g, [g.generator_index(name)]).members)
+    return lambda g: np.flatnonzero(subgroup_generated(g, [g.generator_index(name)])).tolist()
 
 
 def _s4_klein_four(g: FiniteGroup) -> list[int]:

@@ -4,8 +4,8 @@ Everything here is deliberately naive: groups are modelled with explicit
 element tuples (not index tables), graph searches are exhaustive, and
 polynomials come from permanent-style determinant expansion or from a modular
 Faddeev-LeVerrier kernel.  None of it shares code with the package under test,
-except the quotient and isomorphism tests at the end, which take the
-package's groups and graphs and use its table wrapper, normality test,
+except the subgroup, quotient and isomorphism tests at the end, which take
+the package's groups and graphs and use its table wrapper, normality test,
 subgroup closure and multipartite recognition.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from engel_lab.analysis import recognize_complete_multipartite
 from engel_lab.graphs import SimpleGraph
-from engel_lab.groups import FiniteGroup, Subgroup, from_table, is_normal, subgroup_generated
+from engel_lab.groups import FiniteGroup, from_table, is_normal, subgroup_generated
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,8 @@ def brute_energies(adj_spec, lap_spec, q_spec, n_edges, n_vertices):
 
 
 # ---------------------------------------------------------------------------
-# isomorphism tests and element lookup on the package's groups and graphs
+# subgroups, quotients, isomorphism tests and element lookup on the package's
+# groups and graphs
 
 
 def name_index(g, name):
@@ -448,7 +449,7 @@ def _minimal_generating_sequence(g: FiniteGroup) -> list[int]:
     for a in range(g.order):
         if a not in closure:
             gens.append(a)
-            closure = set(subgroup_generated(g, gens).members)
+            closure = set(np.flatnonzero(subgroup_generated(g, gens)).tolist())
             if len(closure) == g.order:
                 break
     return gens
@@ -505,24 +506,41 @@ def are_isomorphic_small(g: FiniteGroup, h: FiniteGroup, limit: int = 24) -> boo
     return backtrack(0, [])
 
 
-def quotient_group(g: FiniteGroup, s: Subgroup) -> FiniteGroup:
-    """G/S for normal S; cosets are indexed by ascending least member."""
-    if not is_normal(g, s):
+def subgroup_as_group(g: FiniteGroup, inside: np.ndarray) -> FiniteGroup:
+    """The subgroup with mask ``inside`` as a standalone group, re-tabled in
+    ascending element order (ValueError unless it is closed under products):
+    the reference for the structure functions' ``within`` masks."""
+    members = np.flatnonzero(inside)
+    pos = np.full(g.order, -1)
+    pos[members] = np.arange(len(members))
+    return from_table(
+        pos[g.table[np.ix_(members, members)]],
+        [g.element_names[e] for e in members],
+        label=f"{g.label}|subgroup{len(members)}",
+    )
+
+
+def quotient_group(g: FiniteGroup, inside: np.ndarray) -> FiniteGroup:
+    """G/S for the normal subgroup S with mask ``inside``; cosets are indexed
+    by ascending least member."""
+    if not is_normal(g, inside):
         raise ValueError("cannot form quotient by a non-normal subgroup")
-    least = g.table[:, list(s.members)].min(axis=1)
+    least = g.table[:, np.flatnonzero(inside)].min(axis=1)
     reps = np.unique(least)
     coset_of = np.searchsorted(reps, least)
     names = [f"[{g.element_names[a]}]" for a in reps]
     return from_table(
-        coset_of[g.table[np.ix_(reps, reps)]], names, label=f"{g.label}/|{s.size}|"
+        coset_of[g.table[np.ix_(reps, reps)]], names,
+        label=f"{g.label}/|{np.count_nonzero(inside)}|",
     )
 
 
-def quotient_iso_check(g: FiniteGroup, s: Subgroup, target: FiniteGroup) -> bool:
+def quotient_iso_check(g: FiniteGroup, inside: np.ndarray, target: FiniteGroup) -> bool:
     """True iff G/S is isomorphic to the (small) target group."""
-    if g.order % s.size or g.order // s.size > 24:
+    size = int(np.count_nonzero(inside))
+    if g.order % size or g.order // size > 24:
         raise ValueError("quotient isomorphism check limited to |G/S| <= 24")
-    return are_isomorphic_small(quotient_group(g, s), target)
+    return are_isomorphic_small(quotient_group(g, inside), target)
 
 
 ISO_VERTEX_LIMIT = 12

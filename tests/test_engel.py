@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import engel_lab as el
 from engel_lab import engel
+from engel_lab.groups import first_power_in
 from engel_lab.engel import engel_relation, validate_left_engel_baer
 from engel_lab.verify import _soluble_catalog
 
@@ -136,7 +137,7 @@ def test_left_engel_dihedral_quaternion_is_rotation_subgroup():
     for spec, half in (("D:24", 12), ("Q:24", 12), ("D:12", 6), ("Q:12", 6)):
         g = el.build_group(spec)
         lset = el.left_engel_set(g)
-        rotations = set(el.subgroup_generated(g, [g.generator_index("y")]).members)
+        rotations = set(np.flatnonzero(el.subgroup_generated(g, [g.generator_index("y")])).tolist())
         assert set(lset) == rotations and len(lset) == half
 
 
@@ -156,7 +157,8 @@ def test_left_engel_frobenius_is_cyclic_part():
     for spec, q in (("F:2:3", 3), ("F:3:7", 7), ("F:5:11", 11)):
         g = el.build_group(spec)
         lset = el.left_engel_set(g)
-        b_subgroup = set(el.subgroup_generated(g, [g.generator_index("b")]).members)
+        b_subgroup = el.subgroup_generated(g, [g.generator_index("b")])
+        b_subgroup = set(np.flatnonzero(b_subgroup).tolist())
         assert set(lset) == b_subgroup and len(lset) == q
 
 
@@ -175,54 +177,106 @@ def test_left_engel_baer_validation(spec):
     g = el.build_group(spec)
     assert el.is_soluble(g) and g.order <= 300
     sub = validate_left_engel_baer(g)
-    assert set(sub.members) == set(el.left_engel_set(g))
+    assert set(np.flatnonzero(sub).tolist()) == set(el.left_engel_set(g))
+
+
+def _first_power_in_by_definition(g, x, inside):
+    """The least k >= 1 with x^k in the member set ``inside``."""
+    power, k = x, 1
+    while power not in inside:
+        power, k = g.mul(power, x), k + 1
+    return k
 
 
 def _baer_witness_by_definition(g, members):
     """The closure walk written out: ascending, the first x outside L whose
     coset xL has prime order in G/L and whose normal closure <L, x^G> is
-    normal and nilpotent (a proper subgroup unless G is nilpotent), by
-    name; None if there is none."""
+    normal and nilpotent (a proper subgroup unless G is nilpotent), taken
+    on its re-tabled copy, by name; None if there is none."""
     inside, g_nilpotent = set(members), el.is_nilpotent(g)
     for x in range(g.order):
         if x in inside:
             continue
-        power, k = x, 1
-        while power not in inside:
-            power, k = g.mul(power, x), k + 1
+        k = _first_power_in_by_definition(g, x, inside)
         if k < 2 or any(k % d == 0 for d in range(2, k)):
             continue
         conjugates = {g.mul(g.mul(g.inv(a), x), a) for a in range(g.order)}
         closure = el.subgroup_generated(g, [*members, *conjugates])
-        if closure.size == g.order and not g_nilpotent:
+        if closure.all() and not g_nilpotent:
             continue
-        if el.is_normal(g, closure) and el.is_nilpotent(closure.as_group()):
+        if el.is_normal(g, closure) and el.is_nilpotent(oracles.subgroup_as_group(g, closure)):
             return g.element_names[x]
     return None
 
 
-@pytest.mark.parametrize(
-    "spec",
-    ["D:12", "D:16", "D:24", "Q:16", "Q:24", "C:12", "S:4", "A:4", "F:3:7",
-     "P:(C:2)x(D:12)", "P:(C:3)x(S:3)"],
-)
+def _members(mask):
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _mask(g, members):
+    return np.isin(np.arange(g.order), members)
+
+
+def _cyclic_subgroups(g):
+    return {_members(el.subgroup_generated(g, [x])) for x in range(g.order)}
+
+
+def _baer_candidates(g):
+    """Every term of the upper central series and every normal cyclic
+    subgroup, as ascending member tuples."""
+    candidates = {_members(z) for z in el.upper_central_series(g)}
+    candidates |= {m for m in _cyclic_subgroups(g) if el.is_normal(g, _mask(g, m))}
+    return sorted(candidates)
+
+
+SMALLER_CANDIDATE_SPECS = [
+    "D:12", "D:16", "D:24", "Q:16", "Q:24", "C:12", "S:4", "A:4", "F:3:7",
+    "P:(C:2)x(D:12)", "P:(C:3)x(S:3)",
+]
+
+
+@pytest.mark.parametrize("spec", SMALLER_CANDIDATE_SPECS)
 def test_baer_walk_matches_definition_on_smaller_candidates(spec, monkeypatch):
     # Stand in for L(G) every term of the upper central series and every
     # normal cyclic subgroup: the walk must name the witness the definition
     # names.
     g = el.build_group(spec)
-    cyclic = {el.subgroup_generated(g, [x]).members for x in range(g.order)}
-    candidates = {z.members for z in el.upper_central_series(g)}
-    candidates |= {m for m in cyclic if el.is_normal(g, m)}
-    for members in sorted(candidates):
+    for members in _baer_candidates(g):
         want = _baer_witness_by_definition(g, members)
         monkeypatch.setattr(engel, "left_engel_set", lambda h, m=members: frozenset(m))
         if want is None:
-            assert validate_left_engel_baer(g).members == members
+            assert _members(validate_left_engel_baer(g)) == members
         else:
             match = re.escape(f"the normal closure of <L, {want}> is nilpotent")
             with pytest.raises(ValueError, match=match):
                 validate_left_engel_baer(g)
+
+
+@pytest.mark.parametrize("spec", SMALLER_CANDIDATE_SPECS)
+def test_first_power_in_matches_the_per_element_loop(spec):
+    # coset orders over every Baer candidate, element orders over {1}
+    g = el.build_group(spec)
+    for members in [(g.identity,), *_baer_candidates(g)]:
+        want = [_first_power_in_by_definition(g, x, set(members)) for x in range(g.order)]
+        assert first_power_in(g, _mask(g, members)).tolist() == want
+    assert np.array_equal(el.groups.element_orders(g), first_power_in(g, _mask(g, [g.identity])))
+
+
+@pytest.mark.parametrize("spec", sorted({*SMALLER_CANDIDATE_SPECS, *_soluble_catalog(48)}))
+def test_within_masks_match_the_retabled_subgroup(spec):
+    # the upper central series and nilpotency of every Baer candidate and
+    # every cyclic subgroup, taken on the parent's commutator map, against
+    # the same subgroup re-tabled as a group of its own
+    g = el.build_group(spec)
+    for members in {*_baer_candidates(g), *_cyclic_subgroups(g)}:
+        sub = _mask(g, members)
+        h = oracles.subgroup_as_group(g, sub)
+        want = [_mask(g, np.array(members)[z]) for z in el.upper_central_series(h)]
+        got = el.upper_central_series(g, sub)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (spec, members)
+        assert np.array_equal(el.hypercenter(g, sub), want[-1])
+        assert el.is_nilpotent(g, sub) is el.is_nilpotent(h)
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:4"])
@@ -239,7 +293,7 @@ def test_baer_walk_refuses_trivial_l_below_a_non_cyclic_fitting_subgroup(spec, m
 def test_baer_walk_accepts_l_of_fitting_order(spec):
     g = el.build_group(spec)
     sub = validate_left_engel_baer(g)
-    assert sub.size == groupmodel.fitting_order(groupmodel.parse_spec(spec))
+    assert np.count_nonzero(sub) == groupmodel.fitting_order(groupmodel.parse_spec(spec))
 
 
 def test_left_engel_product_law():
@@ -460,7 +514,7 @@ def test_non_terminating_pairs_never_reach_identity_exhaustive():
 @pytest.mark.parametrize("spec", ["P:(C:3)x(D:6)", "D:12"])
 def test_hypercenter_translation_preserves_adjacency(spec):
     g = el.build_group(spec)
-    z_members = el.hypercenter(g).members
+    z_members = np.flatnonzero(el.hypercenter(g)).tolist()
     graph = el.reduced_co_engel_graph(g)
     kept = el.non_engel_elements(g)
     pos = {e: i for i, e in enumerate(kept)}

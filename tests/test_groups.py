@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
-from engel_lab import groups
+from engel_lab import cli, groups
 from engel_lab.groups import (
     default_frobenius_residue,
     derived_series,
@@ -156,7 +156,7 @@ def test_frobenius_2_3_is_dihedral_6():
 
 def test_frobenius_3_7_center_trivial():
     g = el.build_frobenius(3, 7, 2)
-    assert el.center(g).size == 1
+    assert np.count_nonzero(el.center(g)) == 1
     assert g.order == 21
 
 
@@ -193,10 +193,9 @@ def test_alternating_4_census():
 def test_symmetric_4_fitting_candidate():
     g = el.build_symmetric(4)
     v4 = {"e", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"}
-    members = [i for i, name in enumerate(g.element_names) if name in v4]
-    sub = el.Subgroup(g, tuple(members))
-    sub.validate()
-    assert el.is_normal(g, sub) and el.is_nilpotent(sub.as_group())
+    sub = np.isin(g.element_names, list(v4))
+    assert np.array_equal(el.subgroup_generated(g, np.flatnonzero(sub)), sub)
+    assert el.is_normal(g, sub) and el.is_nilpotent(g, sub)
 
 
 def test_symmetric_2():
@@ -308,35 +307,35 @@ def test_lagrange_element_orders_divide(spec):
 
 
 def test_hypercenter_d6_trivial():
-    assert el.hypercenter(el.build_dihedral(6)).size == 1
+    assert np.count_nonzero(el.hypercenter(el.build_dihedral(6))) == 1
 
 
 def test_hypercenter_c3xd6():
     g = el.build_group("P:(C:3)x(D:6)")
     z = el.hypercenter(g)
-    assert z.size == 3
+    assert np.count_nonzero(z) == 3
     # stabilises at C3 x {1}: all members commute with everything
-    assert all(m in el.center(g).members for m in z.members)
+    assert el.center(g)[z].all()
 
 
 def test_hypercenter_of_nilpotent_is_whole_group():
     for spec in ("Q:8", "C:12", "D:8"):
         g = el.build_group(spec)
-        assert el.hypercenter(g).size == g.order
+        assert el.hypercenter(g).all()
 
 
 def test_upper_central_series_strictly_increasing():
     for spec in ("Q:8", "D:8", "S:4", "P:(C:3)x(D:6)"):
         g = el.build_group(spec)
         series = el.upper_central_series(g)
-        sizes = [s.size for s in series]
+        sizes = [np.count_nonzero(s) for s in series]
         assert sizes[0] == 1
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
-        assert series[-1].size == el.hypercenter(g).size
+        assert np.array_equal(series[-1], el.hypercenter(g))
 
 
 def test_d12_hypercenter_order_two():
-    assert el.hypercenter(el.build_dihedral(12)).size == 2
+    assert np.count_nonzero(el.hypercenter(el.build_dihedral(12))) == 2
 
 
 # --- nilpotency / solubility
@@ -349,7 +348,7 @@ def test_q8_nilpotent():
 def test_s4_soluble_not_nilpotent():
     g = el.build_symmetric(4)
     assert el.is_soluble(g) and not el.is_nilpotent(g)
-    sizes = [s.size for s in derived_series(g)]
+    sizes = [np.count_nonzero(s) for s in derived_series(g)]
     assert sizes == [24, 12, 4, 1]  # S4 > A4 > V4 > 1
 
 
@@ -362,13 +361,13 @@ def test_a5_not_soluble():
 
 def test_subgroup_generated_rotation_in_d24():
     g = el.build_dihedral(24)
-    assert el.subgroup_generated(g, [g.generator_index("y")]).size == 12
+    assert np.count_nonzero(el.subgroup_generated(g, [g.generator_index("y")])) == 12
 
 
 def test_subgroup_generated_identity():
     g = el.build_dihedral(6)
-    assert el.subgroup_generated(g, [g.identity]).size == 1
-    assert el.subgroup_generated(g, []).size == 1
+    assert np.count_nonzero(el.subgroup_generated(g, [g.identity])) == 1
+    assert np.count_nonzero(el.subgroup_generated(g, [])) == 1
 
 
 def test_quotient_c3xd6_by_hypercenter_is_d6():
@@ -387,7 +386,7 @@ def test_quotient_requires_normal():
 def test_quotient_s4_by_v4_is_s3():
     g = el.build_symmetric(4)
     v4 = {"e", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"}
-    sub = el.Subgroup(g, tuple(i for i, n in enumerate(g.element_names) if n in v4))
+    sub = np.isin(g.element_names, list(v4))
     assert quotient_iso_check(g, sub, el.build_symmetric(3))
 
 
@@ -515,15 +514,16 @@ def _model_structure(spec):
 
 def _structure(g):
     return {
-        "center": list(el.center(g).members),
-        "upper_central_series": [list(z.members) for z in el.upper_central_series(g)],
+        "center": np.flatnonzero(el.center(g)).tolist(),
+        "upper_central_series": [np.flatnonzero(z).tolist() for z in el.upper_central_series(g)],
         "order_census": g.order_census(),
         "left_engel_set": sorted(el.left_engel_set(g)),
     }
 
 
 def _is_normal_by_definition(g, sub):
-    return all(g.conjugate(x, a) in sub for x in sub.members for a in range(g.order))
+    members = np.flatnonzero(sub).tolist()
+    return all(sub[g.conjugate(x, a)] for x in members for a in range(g.order))
 
 
 @given(spec=st.sampled_from(_soluble_catalog(48) + ["A:5", "S:5"]), data=st.data())
@@ -536,7 +536,7 @@ def test_structure_matches_model_group(spec, data):
         el.subgroup_generated(g, [x]),
         el.center(g),
         derived_series(g)[-1],
-        el.Subgroup(g, tuple(sorted({g.identity, x}))),
+        np.isin(np.arange(g.order), [g.identity, x]),
     )
     normal = [_is_normal_by_definition(g, s) for s in candidates]
     assert _structure(g) == want
@@ -569,13 +569,46 @@ def test_from_table_rejects_out_of_range_entries(n, offset):
         from_table(rows.tolist())
 
 
-def test_scalar_accessors_return_python_ints():
+def test_scalar_accessors_return_python_ints(capsys):
     g = el.build_group("S:4")
     values = [
         g.identity, g.mul(3, 5), g.inv(3), g.commutator(3, 5), g.conjugate(3, 5),
         g.element_order(3), *g.order_census().items(),
-        *el.center(g).members, *el.hypercenter(g).members,
-        *el.subgroup_generated(g, [3, 5]).members, *derived_series(g)[1].members,
     ]
     flat = [v for item in values for v in (item if isinstance(item, tuple) else (item,))]
     assert all(type(v) is int for v in flat)
+    v4 = derived_series(g)[2]
+    predicates = [
+        el.is_nilpotent(g), el.is_nilpotent(g, v4), el.is_soluble(g),
+        el.is_soluble(el.build_group("A:5")), el.is_normal(g, v4),
+        el.is_normal(g, el.subgroup_generated(g, [1])),
+    ]
+    assert predicates == [False, True, True, False, True, False]
+    assert all(type(v) is bool for v in predicates)
+    # json.dumps refuses numpy scalars, so the group document pins the count
+    assert cli.main(["group", "S:4"]) == 0
+    assert '"hypercenter_order": 1,' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0, 3], np.array([0, 3]), [1] * 24, np.ones(23, dtype=bool),
+     np.ones((24, 1), dtype=bool), np.ones(24, dtype=np.uint8)],
+)
+def test_mask_arguments_must_be_bool_masks_of_the_group(bad):
+    # an index list read as a mask would silently answer for another subgroup
+    g = el.build_group("S:4")
+    calls = (el.is_normal, el.is_nilpotent, el.upper_central_series, el.hypercenter,
+             groups.first_power_in)
+    for call in calls:
+        with pytest.raises(ValueError, match="bool mask"):
+            call(g, bad)
+
+
+def test_mask_helpers_refuse_the_other_argument_kind():
+    g = el.build_group("S:4")
+    with pytest.raises(ValueError, match="not a mask"):
+        el.subgroup_generated(g, el.center(g))
+    # without the identity in the target the power walk would never end
+    with pytest.raises(ValueError, match="lacks the identity"):
+        groups.first_power_in(g, np.arange(g.order) != g.identity)

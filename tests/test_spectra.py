@@ -149,8 +149,10 @@ def _coefficients_within_bounds(matrix, poly):
     """The proven per-coefficient bounds hold for poly = det(xI - M) and are
     never above the Hadamard terms."""
     n = len(matrix)
-    max_entry = max(1, max(abs(v) for row in matrix for v in row))
-    frob_sq = sum(v * v for row in matrix for v in row)
+    # Python ints: on numpy int64 rows frob_sq ** k would wrap around
+    entries = [int(v) for row in matrix for v in row]
+    max_entry = max(1, max(abs(v) for v in entries))
+    frob_sq = sum(v * v for v in entries)
     bounds = spectra._coefficient_bounds(n, max_entry, frob_sq)
     hadamard = oracles.hadamard_coefficient_terms(n, max_entry)
     for k in range(n + 1):
@@ -198,11 +200,7 @@ def test_coefficient_bounds_cover_verify_paper_matrices(monkeypatch):
         return poly
 
     monkeypatch.setattr(spectra, "char_poly_exact", recording)
-    spectra.spectrum_report.cache_clear()
-    try:
-        run_paper_verification()
-    finally:
-        spectra.spectrum_report.cache_clear()
+    run_paper_verification()
     assert len(seen) == 102
     for matrix, poly in seen:
         _coefficients_within_bounds(matrix, poly)
