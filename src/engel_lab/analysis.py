@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from .graphs import SimpleGraph
@@ -125,6 +124,8 @@ def is_planar(g: SimpleGraph) -> bool:
     bound: a planar graph on n >= 3 vertices has at most 3n - 6 edges."""
     if g.n >= 3 and g.n_edges() > 3 * g.n - 6:
         return False
+    import networkx as nx  # a third of the package's import time; only needed here
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import SCHEMA, engel, topology
 from .analysis import CLIQUE_VERTEX_LIMIT, clique_number, is_planar, recognize_complete_multipartite
-from .groups import FiniteGroup, hypercenter, is_nilpotent, is_soluble
+from .groups import FiniteGroup, hypercenter, is_soluble
 from .spectra import SPECTRUM_VERTEX_LIMIT, spectrum_report
 from .specs import GroupSpecError, build_group, parse_group_spec
 from .verify import run_paper_verification, sweep_single_arcs
@@ -54,6 +54,7 @@ def cmd_group(args) -> int:
         fitting_valid = True
     except ValueError:
         fitting_valid = False
+    top = hypercenter(g)  # G is nilpotent iff its hypercenter is all of G
     doc = {
         "schema": SCHEMA,
         "spec": args.spec,
@@ -65,9 +66,9 @@ def cmd_group(args) -> int:
             "elements": [g.element_names[i] for i in sorted(lset)],
         },
         "fitting_valid": fitting_valid,
-        "nilpotent": is_nilpotent(g),
+        "nilpotent": bool(top.all()),
         "soluble": is_soluble(g),
-        "hypercenter_order": int(hypercenter(g).sum()),
+        "hypercenter_order": int(top.sum()),
     }
     sys.stdout.write(_dump_json(doc))
     return 0

@@ -127,7 +127,7 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
         raise ValueError(f"L({g.label}) is not normal")
     if not is_nilpotent(g, inside):
         raise ValueError(f"L({g.label}) is not nilpotent")
-    g_nilpotent = is_nilpotent(g)
+    g_nilpotent = None  # is_nilpotent(g), computed once a closure is all of G
     seen = inside.copy()
     coset_order = first_power_in(g, inside)  # the order of every xL in G/L
     c = commutator_map(g)
@@ -139,9 +139,13 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
         if not _is_prime(int(coset_order[x])):
             continue
         closure = subgroup_generated(g, np.concatenate((members, conjugates)))
-        if closure.all() and not g_nilpotent:
-            continue
-        if is_nilpotent(g, closure):
+        if closure.all():
+            if g_nilpotent is None:
+                g_nilpotent = is_nilpotent(g)
+            nilpotent = g_nilpotent
+        else:
+            nilpotent = is_nilpotent(g, closure)
+        if nilpotent:
             raise ValueError(
                 f"L({g.label}) is not maximal: the normal closure of "
                 f"<L, {g.element_names[x]}> is nilpotent"

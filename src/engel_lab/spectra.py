@@ -1,12 +1,16 @@
 """Exact characteristic polynomials, integer spectra, and graph energies.
 
-All arithmetic is exact: characteristic polynomials come from a modular
-Hessenberg kernel (Hessenberg reduction and the Hessenberg charpoly
-recurrence, O(n^3) per prime, modulo 30-bit primes + CRT under a proven
-coefficient bound, per coefficient the smaller of the Hadamard and
-Schur-Maclaurin bounds), roots from exact trial division, energies from
-rational arithmetic.  No floating point anywhere.  `SPECTRUM_VERTEX_LIMIT`
-caps the graphs `analyze` computes spectra for.
+All arithmetic is exact.  A characteristic polynomial is computed on the
+twin quotient of its matrix: indices whose rows and columns agree off the
+diagonal, with equal diagonal entries, form classes (for a graph's A, L and
+Q, its false twins), and det(xI - M) is det(xI - B) for the k x k class
+matrix B times one known linear factor per surplus class member.  det(xI - B)
+comes from a modular Hessenberg kernel (Hessenberg reduction and the
+Hessenberg charpoly recurrence, O(k^3) per prime, modulo 30-bit primes + CRT
+under a proven coefficient bound, per coefficient the smaller of the
+Hadamard and Schur-Maclaurin bounds); roots come from exact trial division,
+energies from rational arithmetic.  No floating point anywhere.
+`SPECTRUM_VERTEX_LIMIT` caps the graphs `analyze` computes spectra for.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import numpy as np
 from .analysis import MultipartiteShape
 from .graphs import SimpleGraph
 
-# `analyze` reports spectra only up to this many reduced vertices.  On a
-# 2-core x86 host the spectrum report of D:384 (192 vertices) takes 0.8 s and
-# that of S:5 (119, denser after reduction) 1.5 s; A:6 (359) projects to ~70 s.
+# `analyze` reports spectra only up to this many reduced vertices n.  On a
+# 2-core x86 host the spectrum report takes 0.09 s on D:384 (n = 192 in
+# k = 3 twin classes), 0.25 s on S:5 (119, 72), 0.35 s on P:(S:4)x(D:12)
+# (264, 68) and 7.4 s on A:6 (359, 202).
 SPECTRUM_VERTEX_LIMIT = 200
 
 
@@ -162,23 +167,24 @@ def _ceil_sqrt(x: int) -> int:
     return math.isqrt(x - 1) + 1 if x > 0 else 0
 
 
-def _coefficient_bounds(n: int, max_entry: int, frob_sq: int) -> list[int]:
+def _coefficient_bounds(n: int, max_entry: int, eigen_sq: int) -> list[int]:
     """Proven bounds on |e_k(λ)|, k = 0..n, for an n x n integer matrix with
-    entries of absolute value at most ``max_entry`` and squared Frobenius
-    norm ``frob_sq``; e_k(λ) is, up to sign, the coefficient of x^(n-k).
+    entries of absolute value at most ``max_entry`` whose eigenvalues have
+    Σ|λ_i|^2 at most ``eigen_sq`` (‖M‖_F^2 is such a bound, by Schur's
+    inequality); e_k(λ) is, up to sign, the coefficient of x^(n-k).
 
     Each term is the smaller of two bounds:
     - Hadamard on the k x k principal minors: C(n,k) (ceil(sqrt(k)) B)^k;
     - Schur-Maclaurin: |e_k(λ)| <= e_k(|λ|) <= C(n,k) (Σ|λ_i|/n)^k by
-      Maclaurin's inequality, and (Σ|λ_i|/n)^2 <= Σ|λ_i|^2/n <= ‖M‖_F^2/n by
-      the power-mean and Schur inequalities, so |e_k| <= C(n,k) (‖M‖_F^2/n)^(k/2),
-      rounded up here as ceil_sqrt(ceil(C(n,k)^2 ‖M‖_F^(2k) / n^k)).
+      Maclaurin's inequality, and (Σ|λ_i|/n)^2 <= Σ|λ_i|^2/n <= eigen_sq/n by
+      the power-mean inequality, so |e_k| <= C(n,k) (eigen_sq/n)^(k/2),
+      rounded up here as ceil_sqrt(ceil(C(n,k)^2 eigen_sq^k / n^k)).
     """
     out = []
     for k in range(n + 1):
         binom = math.comb(n, k)
         hadamard = binom * (_ceil_sqrt(k) * max_entry) ** k
-        num, den = binom * binom * frob_sq**k, n**k
+        num, den = binom * binom * eigen_sq**k, n**k
         out.append(min(hadamard, _ceil_sqrt(-(-num // den))))
     return out
 
@@ -243,26 +249,40 @@ def _charpoly_mod(m: np.ndarray, p: int) -> list[int]:
     return [int(v) for v in chi[n, ::-1]]
 
 
-def char_poly_exact(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
+def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, IntegerSpectrum]:
+    """The class matrix B of M's twin classes, and the rest of M's spectrum.
 
-    Hessenberg reduction and the Hessenberg charpoly recurrence, O(n^3) per
-    prime, are run modulo enough 30-bit primes to cover a proven coefficient
-    bound (per coefficient, the smaller of the Hadamard and Schur-Maclaurin
-    bounds), then CRT-lifted to integers; every residue step is exact
-    modular arithmetic.
+    Indices u and v are twins when rows u and v of M agree off the diagonal,
+    so do columns u and v, and M[u, u] = M[v, v]; then M[u, v] = M[v, u] = 0.
+    Twins of a graph matrix (A, L = D - A or Q = D + A) are the false twins
+    of the graph: non-adjacent vertices with the same neighbourhood.  For a
+    class C of s twins with diagonal entry d, the s - 1 vectors e_u - e_v
+    are eigenvectors with eigenvalue d.  The class indicators span an
+    invariant subspace on which M acts as B[i, j] = Σ_{w in C_j} M[rep_i, w],
+    which is s_j M[rep_i, rep_j] off the diagonal and d_i on it (an equitable
+    partition: Godsil & Royle, *Algebraic Graph Theory*, 2001, ch. 9).  So
+    det(xI - M) = det(xI - B) Π_C (x - d_C)^(s_C - 1).
     """
-    n = len(matrix)
-    if n == 0:
-        return IntPolynomial((1,))
-    rows = [list(map(int, row)) for row in matrix]
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    max_entry = max(1, max(abs(v) for r in rows for v in r))
-    if n * max_entry >= (1 << 32):
-        raise ValueError("matrix too large for the int64 modular kernel")
-    frob_sq = sum(v * v for r in rows for v in r)
-    bound = max(_coefficient_bounds(n, max_entry, frob_sq))
+    off = m.copy()
+    np.fill_diagonal(off, 0)
+    diag = m.diagonal()
+    key = np.ascontiguousarray(np.concatenate((off, off.T, diag[:, None]), axis=1))
+    # one opaque value per row: sorting bytes is far faster than sorting rows
+    rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+    _, rep, size = np.unique(rows, return_index=True, return_counts=True)
+    b = off[np.ix_(rep, rep)] * size
+    b[np.diag_indices_from(b)] = diag[rep]
+    tail = IntegerSpectrum.merged(zip(diag[rep].tolist(), (size - 1).tolist()))
+    return b, tail
+
+
+def _charpoly_crt(m: np.ndarray, eigen_sq: int) -> IntPolynomial:
+    """det(xI - M) of an int64 matrix whose eigenvalues have Σ|λ_i|^2 at
+    most ``eigen_sq``: the Hessenberg kernel modulo enough 30-bit primes to
+    cover the coefficient bound, then an iterative CRT lift."""
+    n = m.shape[0]
+    max_entry = max(1, int(np.abs(m).max()))
+    bound = max(_coefficient_bounds(n, max_entry, eigen_sq))
     primes: list[int] = []
     modulus = 1
     for p in _primes_below_2_30(1 + (2 * bound).bit_length() // 29):
@@ -270,7 +290,6 @@ def char_poly_exact(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
         modulus *= p
         if modulus > 2 * bound:
             break
-    m = np.array(rows, dtype=np.int64)
     residues = [_charpoly_mod(m, p) for p in primes]
     coeffs_desc = []
     for idx in range(n + 1):
@@ -284,6 +303,32 @@ def char_poly_exact(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
             value -= mod
         coeffs_desc.append(value)
     return IntPolynomial(tuple(reversed(coeffs_desc)))
+
+
+def char_poly_exact(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
+    """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
+
+    M's twin classes (``_twin_quotient``) leave a k x k class matrix B and
+    known linear factors; B's polynomial comes from the Hessenberg kernel,
+    O(k^3) per prime, modulo enough 30-bit primes to cover a proven
+    coefficient bound, then a CRT lift; every residue step is exact modular
+    arithmetic.  Per coefficient the bound is the smaller of Hadamard's on
+    B's entries and Schur-Maclaurin's at degree k with ‖M‖_F^2: B's
+    eigenvalues are some of M's, so their Σ|λ_i|^2 is at most ‖M‖_F^2
+    (Schur's inequality on M).
+    """
+    n = len(matrix)
+    if n == 0:
+        return IntPolynomial((1,))
+    rows = [list(map(int, row)) for row in matrix]
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    max_entry = max(1, max(abs(v) for r in rows for v in r))
+    if n * max_entry >= (1 << 32):
+        raise ValueError("matrix too large for the int64 modular kernel")
+    frob_sq = sum(v * v for r in rows for v in r)
+    quotient, tail = _twin_quotient(np.array(rows, dtype=np.int64))
+    return _charpoly_crt(quotient, frob_sq) * tail.to_poly()
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +385,10 @@ def integer_roots(
     """Full integer root multiset of a monic polynomial, or None if it does
     not split over the integers.
 
-    With ``root_bound`` given (e.g. the max row sum for a graph matrix), the
-    candidates are every integer in [-bound, bound].  Without it, candidates
-    are divisors of the trailing coefficient found by trial division.
+    Every integer root divides the trailing nonzero coefficient.  With
+    ``root_bound`` given (e.g. the max row sum for a graph matrix), the
+    candidates are the integers in [-bound, bound] that divide it.  Without
+    it, candidates are divisors of it found by trial division.
     """
     if not poly.is_monic:
         raise ValueError("integer_roots expects a monic polynomial")
@@ -356,7 +402,9 @@ def integer_roots(
         found[0] = zero_mult
     if len(coeffs) > 1:
         if root_bound is not None:
-            candidates = [r for r in range(-root_bound, root_bound + 1) if r != 0]
+            candidates = [
+                r for r in range(-root_bound, root_bound + 1) if r and coeffs[0] % r == 0
+            ]
         else:
             cauchy = 1 + max(abs(c) for c in coeffs)
             base = _divisor_candidates(coeffs[0], cauchy)

@@ -191,11 +191,13 @@ def test_cli_graph_json_bytes_are_pinned(capsys):
     assert _run_cli(["graph", "C:1", "--directed"], capsys) == (0, want, "")
 
 
-@pytest.mark.parametrize("spec", ["D:6", "S:4"])
+@pytest.mark.parametrize("spec", ["D:6", "S:4", "S:5", "F:3:37"])
 def test_cli_analyze_bytes_are_pinned(spec, capsys):
     # D:6 is recognised (K_3), S:4 takes the null-shape branch; both run the
     # clique search, spectra and Zagreb, whose Python ints and bools reach
-    # json.dumps (which raises on numpy scalars)
+    # json.dumps (which raises on numpy scalars).  S:5 (119 vertices in 72
+    # twin classes) has polynomials that do not split; F:3:37 (K_{37x2}, 74
+    # vertices) is past the clique limit and has the ladder's largest matrix
     want = (DATA / f"analyze_{spec.replace(':', '')}.json").read_text()
     assert _run_cli(["analyze", spec], capsys) == (0, want, "")
 
@@ -366,6 +368,17 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nilpotent"] is True
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only is_planar needs networkx, and it imports it past Euler's bound
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, engel_lab.cli; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_cli_verify_paper_exit_one_on_failure(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 import engel_lab as el
 from engel_lab import spectra
 from engel_lab.analysis import MultipartiteShape
-from engel_lab.graphs import complete_multipartite_graph
-from engel_lab.spectra import IntegerSpectrum, IntPolynomial, char_poly_exact
+from engel_lab.graphs import SimpleGraph, complete_multipartite_graph
+from engel_lab.spectra import IntegerSpectrum, IntPolynomial
 from engel_lab.verify import _soluble_catalog, run_paper_verification
 
 import oracles
@@ -145,15 +146,102 @@ def test_charpoly_matches_faddeev_leverrier_on_reduced_graphs(spec):
     assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == polys
 
 
-def _coefficients_within_bounds(matrix, poly):
-    """The proven per-coefficient bounds hold for poly = det(xI - M) and are
-    never above the Hadamard terms."""
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS + ["S:5"])
+def test_twin_quotient_matches_the_kernel_on_full_matrices(spec):
+    graph = el.reduced_co_engel_graph(el.build_group(spec))
+    rep = el.spectrum_report(graph)
+    full = tuple(
+        spectra._charpoly_crt(np.array(m), sum(v * v for row in m for v in row))
+        for m in _graph_matrices(graph)
+    )
+    assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == full
+    # A's twin classes are the graph's false-twin classes: its distinct rows
+    quotient, tail = spectra._twin_quotient(graph.adj.astype(np.int64))
+    k = len(np.unique(graph.adj, axis=0))
+    assert quotient.shape[0] == k
+    assert tail == IntegerSpectrum.merged([(0, graph.n - k)])
+
+
+def _blow_up(base, sizes):
+    """Index i of ``base`` replaced by sizes[i] twins: copies of i and j != i
+    meet in base[i][j], each copy keeps base[i][i] on the diagonal, and two
+    copies of one index meet in 0."""
+    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return [
+        [base[i][j] if u == v or i != j else 0 for v, j in enumerate(owner)]
+        for u, i in enumerate(owner)
+    ]
+
+
+def _assert_matches_oracles(matrix):
+    got = _assert_matches_faddeev_leverrier(matrix)
+    if len(matrix) <= 6:
+        assert list(got.coeffs) == oracles.brute_charpoly(matrix)
+    return got
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_charpoly_of_blown_up_graphs_matches_oracles(data):
+    # vertex i of a random graph becomes an independent set of size s_i
+    k = data.draw(st.integers(min_value=1, max_value=8))
+    base = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            base[i][j] = base[j][i] = data.draw(st.integers(min_value=0, max_value=1))
+    sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k))
+    graph = SimpleGraph(np.array(_blow_up(base, sizes), dtype=bool))
+    want = tuple(_assert_matches_oracles(m) for m in _graph_matrices(graph))
+    rep = el.spectrum_report(graph)
+    assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == want
+    assert spectra._twin_quotient(graph.adj.astype(np.int64))[0].shape[0] <= k
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_charpoly_of_blown_up_integer_matrices_matches_oracles(data):
+    # twins of a non-symmetric matrix: rows and columns agree off the diagonal
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=-5, max_value=5)
+    base = [[data.draw(entry) for _ in range(k)] for _ in range(k)]
+    sizes = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=k, max_size=k))
+    matrix = _blow_up(base, sizes)
+    _assert_matches_oracles(matrix)
+    assert spectra._twin_quotient(np.array(matrix))[0].shape[0] <= k
+
+
+def test_twin_quotient_edge_cases():
+    # P_4 has no twins (k = n); the edgeless graph is one class; so is K_1
+    p4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert spectra._twin_quotient(p4.adj.astype(np.int64))[0].shape[0] == 4
+    for m in _graph_matrices(p4):
+        _assert_matches_oracles(m)
+    for n in (1, 5):
+        edgeless = SimpleGraph(np.zeros((n, n), dtype=bool))
+        quotient, tail = spectra._twin_quotient(edgeless.adj.astype(np.int64))
+        assert quotient.tolist() == [[0]]
+        assert tail == IntegerSpectrum.merged([(0, n - 1)])
+        rep = el.spectrum_report(edgeless)
+        x_to_n = IntPolynomial((0, 1)) ** n
+        assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == (x_to_n,) * 3
+        assert rep.adjacency_spectrum.roots == ((0, n),)
+    # rows 0 and 1 agree but columns 0 and 1 do not: not twins
+    rows_only = [[0, 0, 1], [0, 0, 1], [1, 0, 0]]
+    assert spectra._twin_quotient(np.array(rows_only))[0].shape[0] == 3
+    _assert_matches_oracles(rows_only)
+
+
+def _coefficients_within_bounds(matrix, poly, eigen_sq=None):
+    """The proven per-coefficient bounds, with ``eigen_sq`` bounding Σ|λ_i|^2
+    (default ‖M‖_F^2), hold for poly = det(xI - M) and are never above the
+    Hadamard terms."""
     n = len(matrix)
     # Python ints: on numpy int64 rows frob_sq ** k would wrap around
     entries = [int(v) for row in matrix for v in row]
     max_entry = max(1, max(abs(v) for v in entries))
-    frob_sq = sum(v * v for v in entries)
-    bounds = spectra._coefficient_bounds(n, max_entry, frob_sq)
+    if eigen_sq is None:
+        eigen_sq = sum(v * v for v in entries)
+    bounds = spectra._coefficient_bounds(n, max_entry, eigen_sq)
     hadamard = oracles.hadamard_coefficient_terms(n, max_entry)
     for k in range(n + 1):
         assert abs(poly.coeffs[n - k]) <= bounds[k] <= hadamard[k]
@@ -192,18 +280,24 @@ def test_charpoly_pivot_zero_mod_first_prime(data):
 
 
 def test_coefficient_bounds_cover_verify_paper_matrices(monkeypatch):
+    # records what reaches the kernel: each class matrix and the Σ|λ_i|^2
+    # bound its prime count was computed from
     seen = []
+    kernel = spectra._charpoly_crt
 
-    def recording(matrix):
-        poly = char_poly_exact(matrix)
-        seen.append((matrix, poly))
+    def recording(matrix, eigen_sq):
+        poly = kernel(matrix, eigen_sq)
+        seen.append((matrix, eigen_sq, poly))
         return poly
 
-    monkeypatch.setattr(spectra, "char_poly_exact", recording)
+    monkeypatch.setattr(spectra, "_charpoly_crt", recording)
     run_paper_verification()
     assert len(seen) == 102
-    for matrix, poly in seen:
-        _coefficients_within_bounds(matrix, poly)
+    assert max(matrix.shape[0] for matrix, _, _ in seen) <= 13
+    for matrix, eigen_sq, poly in seen:
+        # graph class matrices have real eigenvalues, so Σλ_i^2 = tr(B^2)
+        assert int(np.trace(matrix @ matrix)) <= eigen_sq
+        _coefficients_within_bounds(matrix.tolist(), poly, eigen_sq)
 
 
 # --- integer_roots
