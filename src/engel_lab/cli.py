@@ -19,7 +19,7 @@ from . import SCHEMA, engel, topology
 from .analysis import CLIQUE_VERTEX_LIMIT, clique_number, is_planar, recognize_complete_multipartite
 from .groups import FiniteGroup, hypercenter, is_soluble
 from .spectra import SPECTRUM_VERTEX_LIMIT, spectrum_report
-from .specs import GroupSpecError, build_group, parse_group_spec
+from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
 from .verify import run_paper_verification, sweep_single_arcs
 
 USAGE_ERROR = 2
@@ -31,17 +31,18 @@ def _dump_json(obj) -> str:
 
 def _build_or_exit(args) -> Optional[FiniteGroup]:
     """The group of ``args.spec``, or None after writing the skip document of
-    an order above ``--max-order``; a bad spec exits as a usage error."""
+    an order above ``--max-order``, which is read from the spec before any
+    table is built; a bad spec exits as a usage error."""
     try:
-        g = build_group(parse_group_spec(args.spec))
+        spec = parse_group_spec(args.spec)
+        if args.max_order is None or spec.order() <= args.max_order:
+            return build_group(spec)
     except GroupSpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from exc
-    if args.max_order is not None and g.order > args.max_order:
-        skipped = {"reason": f"order {g.order} exceeds --max-order {args.max_order}"}
-        sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": args.spec, "skipped": skipped}))
-        return None
-    return g
+    skipped = {"reason": f"order {spec.order()} exceeds --max-order {args.max_order}"}
+    sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": args.spec, "skipped": skipped}))
+    return None
 
 
 def cmd_group(args) -> int:
@@ -176,7 +177,11 @@ def cmd_verify_paper(args) -> int:
     families = None
     if args.families:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
-    records = run_paper_verification(families=families, max_order=args.max_order)
+    try:
+        records = run_paper_verification(families=families, max_order=args.max_order)
+    except GroupSpecError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if args.out == "json":
         sys.stdout.write(
             _dump_json(
@@ -232,7 +237,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-paper", help="run the full verification sweep")
     p_ver.add_argument("--families", default=None,
-                       help="comma-separated family filter (cyclic,dihedral,quaternion,frobenius,symmetric,alternating,product)")
+                       help=f"comma-separated family filter ({','.join(FAMILY_NAMES.values())})")
     p_ver.add_argument("--max-order", type=int, default=None)
     p_ver.add_argument("--out", choices=("csv", "json"), default="csv")
     p_ver.set_defaults(func=cmd_verify_paper)

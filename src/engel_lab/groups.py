@@ -332,11 +332,17 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     return _finalize(len(perms), product, [_cycle_name(s) for s in perms], [], label)
 
 
+def check_perm_degree(n: int, family: str) -> None:
+    """Raise ``ValueError`` unless the symmetric and alternating builders
+    table degree n (2 <= n <= 6)."""
+    if not 2 <= n <= 6:
+        raise ValueError(f"{family} group supported for 2 <= n <= 6, got {n}")
+
+
 def _perms(n: int, family: str, even: bool) -> list[tuple[int, ...]]:
     """Permutations of 0..n-1 in lexicographic order, optionally only the
     even ones (an even number of inversions)."""
-    if not 2 <= n <= 6:
-        raise ValueError(f"{family} group supported for 2 <= n <= 6, got {n}")
+    check_perm_degree(n, family)
     perms = itertools.permutations(range(n))
     parity = lambda p: sum(a > b for a, b in itertools.combinations(p, 2)) % 2
     return [p for p in perms if not (even and parity(p))]

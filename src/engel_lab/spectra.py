@@ -1,16 +1,15 @@
 """Exact characteristic polynomials, integer spectra, and graph energies.
 
-All arithmetic is exact.  A characteristic polynomial is computed on the
-twin quotient of its matrix: indices whose rows and columns agree off the
-diagonal, with equal diagonal entries, form classes (for a graph's A, L and
-Q, its false twins), and det(xI - M) is det(xI - B) for the k x k class
-matrix B times one known linear factor per surplus class member.  det(xI - B)
-comes from a modular Hessenberg kernel (Hessenberg reduction and the
-Hessenberg charpoly recurrence, O(k^3) per prime, modulo 30-bit primes + CRT
-under a proven coefficient bound, per coefficient the smaller of the
-Hadamard and Schur-Maclaurin bounds); roots come from exact trial division,
-energies from rational arithmetic.  No floating point anywhere.
-`SPECTRUM_VERTEX_LIMIT` caps the graphs `analyze` computes spectra for.
+A matrix reaches the kernel as one integer array.  Its characteristic
+polynomial is computed on its twin quotient: indices whose rows and columns
+agree off the diagonal, with equal diagonal entries (for a graph's A, L and
+Q, its false twins), leave a k x k class matrix B and one known linear
+factor per surplus class member.  det(xI - B) comes from a modular Hessenberg
+kernel, O(k^3) per prime, modulo 30-bit primes (found once per process) and a
+CRT lift under a proven coefficient bound.  Integer roots come from exact
+trial division up to a given bound, energies from rational arithmetic.  No
+floating point anywhere.  `SPECTRUM_VERTEX_LIMIT` caps the graphs `analyze`
+computes spectra for.
 """
 
 from __future__ import annotations
@@ -21,14 +20,15 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .analysis import MultipartiteShape
 from .graphs import SimpleGraph
 
 # `analyze` reports spectra only up to this many reduced vertices n.  On a
-# 2-core x86 host the spectrum report takes 0.09 s on D:384 (n = 192 in
-# k = 3 twin classes), 0.25 s on S:5 (119, 72), 0.35 s on P:(S:4)x(D:12)
-# (264, 68) and 7.4 s on A:6 (359, 202).
+# 2-core x86 host the spectrum report takes 0.03 s on D:384 (n = 192 in
+# k = 3 twin classes), 0.34 s on S:5 (119, 72), 0.41 s on P:(S:4)x(D:12)
+# (264, 68) and 9.3 s on A:6 (359, 202).
 SPECTRUM_VERTEX_LIMIT = 200
 
 
@@ -66,25 +66,17 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        acc = IntPolynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
     @classmethod
     def from_roots(cls, roots: Sequence[tuple[int, int]]) -> "IntPolynomial":
-        """Monic product of (x - value)^multiplicity factors."""
-        acc = cls((1,))
+        """Monic product of (x - value)^multiplicity factors, multiplied in
+        one linear factor at a time: p (x - v) = x p - v p."""
+        coeffs = [1]
         for value, mult in roots:
-            acc = acc * (cls((-value, 1)) ** mult)
-        return acc
+            if mult < 0:
+                raise ValueError("negative multiplicity")
+            for _ in range(mult):
+                coeffs = [a - value * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        return cls(tuple(coeffs))
 
     def to_decimal_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -153,14 +145,18 @@ def _is_prime_64(n: int) -> bool:
     return True
 
 
+# the largest primes below 2^30, descending: found once per process and
+# extended on demand (not an lru_cache, which bench/run.py clears per command)
+_PRIMES: list[int] = []
+
+
 def _primes_below_2_30(count: int) -> list[int]:
-    out = []
-    candidate = (1 << 30) - 1
-    while len(out) < count:
+    candidate = _PRIMES[-1] - 2 if _PRIMES else (1 << 30) - 1
+    while len(_PRIMES) < count:
         if _is_prime_64(candidate):
-            out.append(candidate)
+            _PRIMES.append(candidate)
         candidate -= 2
-    return out
+    return _PRIMES[:count]
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -305,65 +301,42 @@ def _charpoly_crt(m: np.ndarray, eigen_sq: int) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(coeffs_desc)))
 
 
-def char_poly_exact(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Exact monic characteristic polynomial det(xI - M) of an integer matrix.
+def char_poly_exact(matrix: ArrayLike) -> IntPolynomial:
+    """Exact monic characteristic polynomial det(xI - M) of a square array
+    (bool, int or uint dtype, or nested lists of ints) with n max|M_ij| < 2^32.
 
     M's twin classes (``_twin_quotient``) leave a k x k class matrix B and
-    known linear factors; B's polynomial comes from the Hessenberg kernel,
-    O(k^3) per prime, modulo enough 30-bit primes to cover a proven
-    coefficient bound, then a CRT lift; every residue step is exact modular
-    arithmetic.  Per coefficient the bound is the smaller of Hadamard's on
-    B's entries and Schur-Maclaurin's at degree k with ‖M‖_F^2: B's
-    eigenvalues are some of M's, so their Σ|λ_i|^2 is at most ‖M‖_F^2
-    (Schur's inequality on M).
+    known linear factors; B's polynomial comes from the Hessenberg kernel
+    modulo enough 30-bit primes to cover a proven coefficient bound, then a
+    CRT lift.  Per coefficient the bound is the smaller of Hadamard's on B's
+    entries and Schur-Maclaurin's at degree k with ‖M‖_F^2: B's eigenvalues
+    are some of M's, so their Σ|λ_i|^2 is at most ‖M‖_F^2 (Schur's
+    inequality on M).
     """
-    n = len(matrix)
+    m = np.asarray(matrix)
+    # np.asarray keeps Python ints past int64 as objects; the guard below refuses them
+    integral = m.dtype.kind in "biu" or (
+        m.dtype == object and all(isinstance(v, int) for v in m.flat)
+    )
+    if not integral or m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be a square array of integers")
+    n = m.shape[0]
     if n == 0:
         return IntPolynomial((1,))
-    rows = [list(map(int, row)) for row in matrix]
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    max_entry = max(1, max(abs(v) for r in rows for v in r))
+    # no np.abs: it wraps the most negative value of a signed dtype
+    max_entry = max(1, int(m.max()), -int(m.min()))
     if n * max_entry >= (1 << 32):
         raise ValueError("matrix too large for the int64 modular kernel")
-    frob_sq = sum(v * v for r in rows for v in r)
-    quotient, tail = _twin_quotient(np.array(rows, dtype=np.int64))
+    m = m.astype(np.int64, copy=False)
+    # exact: every square and their sum is at most (n * max_entry)^2 < 2^64
+    magnitude = np.abs(m).astype(np.uint64)
+    frob_sq = int((magnitude * magnitude).sum())
+    quotient, tail = _twin_quotient(m)
     return _charpoly_crt(quotient, frob_sq) * tail.to_poly()
 
 
 # ---------------------------------------------------------------------------
 # integer roots
-
-
-_TRIAL_DIVISION_CAP = 10**6
-
-
-def _divisor_candidates(c0: int, cap: int) -> list[int]:
-    """Positive divisors of |c0| up to ``cap``, via trial-division
-    factorisation (any cofactor above the trial cap is kept as a single
-    pseudo-prime factor, which can only make the candidate list smaller)."""
-    n = abs(c0)
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= _TRIAL_DIVISION_CAP:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divisors = [1]
-    for prime, exp in factors.items():
-        grown = []
-        for base in divisors:
-            value = base
-            for _ in range(exp):
-                value *= prime
-                if value > cap:
-                    break
-                grown.append(value)
-        divisors.extend(grown)
-    return sorted(set(d for d in divisors if d <= cap))
 
 
 def _divide_linear(coeffs: tuple[int, ...], r: int) -> Optional[tuple[int, ...]]:
@@ -379,45 +352,29 @@ def _divide_linear(coeffs: tuple[int, ...], r: int) -> Optional[tuple[int, ...]]
     return tuple(reversed(out[:-1]))
 
 
-def integer_roots(
-    poly: IntPolynomial, root_bound: Optional[int] = None
-) -> Optional[IntegerSpectrum]:
-    """Full integer root multiset of a monic polynomial, or None if it does
-    not split over the integers.
+def integer_roots(poly: IntPolynomial, root_bound: int) -> Optional[IntegerSpectrum]:
+    """Full integer root multiset of a monic polynomial whose integer roots
+    all lie in [-root_bound, root_bound], or None if it does not split over
+    the integers.
 
-    Every integer root divides the trailing nonzero coefficient.  With
-    ``root_bound`` given (e.g. the max row sum for a graph matrix), the
-    candidates are the integers in [-bound, bound] that divide it.  Without
-    it, candidates are divisors of it found by trial division.
+    Every nonzero integer root divides the trailing nonzero coefficient, so
+    the candidates are the integers in [-root_bound, root_bound] that divide
+    it.  A graph matrix's eigenvalues are bounded by its largest row sum of
+    absolute values, which ``spectrum_report`` passes; a bound that is too
+    small can only turn a split into None, never give a wrong root.
     """
     if not poly.is_monic:
         raise ValueError("integer_roots expects a monic polynomial")
-    coeffs = poly.coeffs
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        zero_mult += 1
-    found: dict[int, int] = {}
-    if zero_mult:
-        found[0] = zero_mult
-    if len(coeffs) > 1:
-        if root_bound is not None:
-            candidates = [
-                r for r in range(-root_bound, root_bound + 1) if r and coeffs[0] % r == 0
-            ]
-        else:
-            cauchy = 1 + max(abs(c) for c in coeffs)
-            base = _divisor_candidates(coeffs[0], cauchy)
-            candidates = [s * d for d in base for s in (1, -1)]
-        for r in candidates:
-            while len(coeffs) > 1:
-                quotient = _divide_linear(coeffs, r)
-                if quotient is None:
-                    break
-                coeffs = quotient
-                found[r] = found.get(r, 0) + 1
-            if len(coeffs) == 1:
+    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
+    coeffs = poly.coeffs[zeros:]
+    found = {0: zeros} if zeros else {}
+    for r in range(-root_bound, root_bound + 1):
+        while len(coeffs) > 1 and r and coeffs[0] % r == 0:
+            quotient = _divide_linear(coeffs, r)
+            if quotient is None:
                 break
+            coeffs = quotient
+            found[r] = found.get(r, 0) + 1
     if len(coeffs) > 1:
         return None
     return IntegerSpectrum(tuple(sorted(found.items())))
@@ -541,7 +498,7 @@ def spectrum_report(g: SimpleGraph) -> SpectrumReport:
     adj = g.adj.astype(np.int64)
     deg = adj.sum(axis=1)
     matrices = (adj, np.diag(deg) - adj, np.diag(deg) + adj)
-    polys = tuple(char_poly_exact(m.tolist()) for m in matrices)
+    polys = tuple(char_poly_exact(m) for m in matrices)
     max_deg = int(deg.max())
     bounds = (max(1, max_deg), max(1, 2 * max_deg), max(1, 2 * max_deg))
     spectra = tuple(integer_roots(p, b) for p, b in zip(polys, bounds))

@@ -29,7 +29,7 @@ from .groups import (
     subgroup_generated,
 )
 from .spectra import closed_form_spectra, spectrum_report
-from .specs import build_group, parse_group_spec
+from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
 
 SWEEP_TM = tuple((t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9))
 SWEEP_M = (3, 5, 7, 9)
@@ -454,9 +454,16 @@ def run_paper_verification(
     """Evaluate every claim; returns records sorted by (claim_id, group).
 
     Groups filtered out by ``families`` are omitted; groups larger than
-    ``max_order`` produce explicit "skipped" records.
+    ``max_order`` produce explicit "skipped" records.  A family name not in
+    ``specs.FAMILY_NAMES`` raises ``GroupSpecError`` (a ``ValueError``).
     """
     family_filter = set(families) if families else None
+    unknown = sorted((family_filter or set()) - set(FAMILY_NAMES.values()))
+    if unknown:
+        raise GroupSpecError(
+            f"unknown families {', '.join(unknown)}; "
+            f"known: {', '.join(FAMILY_NAMES.values())}"
+        )
     records = []
     for claim in all_claims():
         spec = parse_group_spec(claim.group)

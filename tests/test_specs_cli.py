@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+import engel_lab.cli
 from engel_lab.analysis import MultipartiteShape
 from engel_lab.cli import main
-from engel_lab.specs import GroupSpec, GroupSpecError, parse_group_spec
+from engel_lab.specs import FAMILY_NAMES, GroupSpec, GroupSpecError, parse_group_spec
 from engel_lab.verify import ALL_CLAIM_IDS, run_paper_verification
 
 DATA = Path(__file__).parent / "data"
@@ -293,6 +294,49 @@ def test_cli_max_order_skip_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["skipped"]["reason"].startswith("order 24 exceeds")
+
+
+def test_cli_max_order_is_decided_before_the_build(monkeypatch, capsys):
+    # the table of C:100000 would take about 10 GB
+    def refuse(spec):
+        raise AssertionError(f"built {spec} past --max-order")
+
+    monkeypatch.setattr(engel_lab.cli, "build_group", refuse)
+    code, out, _ = _run_cli(["group", "C:100000", "--max-order", "10"], capsys)
+    assert code == 0
+    assert json.loads(out)["skipped"] == {"reason": "order 100000 exceeds --max-order 10"}
+
+
+def test_cli_max_order_skips_specs_a_builder_would_refuse(capsys):
+    # D:9 is no dihedral group, but its order 9 is read from the spec
+    code, out, _ = _run_cli(["graph", "D:9", "--reduced", "--max-order", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["skipped"] == {"reason": "order 9 exceeds --max-order 5"}
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "D:9", "--reduced"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec", ["S:7", "A:1000000", "P:(C:2)x(S:-1)"])
+def test_cli_max_order_refuses_unsupported_degrees_before_the_factorial(spec, capsys):
+    for argv in (["group", spec], ["group", spec, "--max-order", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "supported for 2 <= n <= 6" in capsys.readouterr().err
+
+
+def test_verification_refuses_unknown_families():
+    with pytest.raises(ValueError, match="unknown families dihedrals, frob") as exc:
+        run_paper_verification(families=["frob", "dihedral", "dihedrals"])
+    assert all(name in str(exc.value) for name in FAMILY_NAMES.values())
+
+
+def test_cli_verify_paper_unknown_family_is_a_usage_error(capsys):
+    code, out, err = _run_cli(["verify-paper", "--families", "dihedrals"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: unknown families dihedrals;")
 
 
 def test_cli_verify_paper_csv(capsys):

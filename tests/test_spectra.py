@@ -1,5 +1,6 @@
 """Exact-spectra: characteristic polynomials, integer roots, energy reports."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,12 @@ import oracles
 # --- IntPolynomial basics
 
 
-def test_poly_mul_and_pow():
+def test_poly_mul_matches_from_roots():
     x_minus_1 = IntPolynomial((-1, 1))
     sq = x_minus_1 * x_minus_1
     assert sq.coeffs == (1, -2, 1)
-    assert (x_minus_1**3).coeffs == (-1, 3, -3, 1)
+    assert (sq * x_minus_1).coeffs == (-1, 3, -3, 1)
+    assert IntPolynomial.from_roots([(1, 3)]) == sq * x_minus_1
 
 
 def test_poly_from_roots_reconstructs():
@@ -33,6 +35,9 @@ def test_poly_from_roots_reconstructs():
     # direct evaluation is the ground truth
     for x in range(-5, 6):
         assert p.evaluate(x) == (x - 2) * (x + 1) ** 2
+    assert IntPolynomial.from_roots([(5, 0)]).coeffs == (1,)
+    with pytest.raises(ValueError, match="negative"):
+        IntPolynomial.from_roots([(1, -1)])
 
 
 def test_poly_rejects_zero_leading():
@@ -67,7 +72,7 @@ def test_charpoly_kn_matches_paper_form():
     # P(K_n, x) = (x+1)^(n-1) (x - (n-1))
     for n in (2, 3, 5, 8, 13):
         adj = _graph_matrices(complete_multipartite_graph([1] * n))[0]
-        want = IntPolynomial((1, 1)) ** (n - 1) * IntPolynomial((-(n - 1), 1))
+        want = IntPolynomial.from_roots([(-1, n - 1), (n - 1, 1)])
         assert el.char_poly_exact(adj) == want
 
 
@@ -75,20 +80,10 @@ def test_charpoly_kab_matches_paper_forms():
     # A: x^(a(b-1)) (x+b)^(a-1) (x - b(a-1)); L and Q likewise
     for a, b in [(3, 2), (3, 4), (5, 2), (7, 2), (4, 3)]:
         adj, lap, sig = _graph_matrices(complete_multipartite_graph([b] * a))
-        want_a = (
-            IntPolynomial((0, 1)) ** (a * (b - 1))
-            * IntPolynomial((b, 1)) ** (a - 1)
-            * IntPolynomial((-b * (a - 1), 1))
-        )
-        want_l = (
-            IntPolynomial((0, 1))
-            * IntPolynomial((-b * (a - 1), 1)) ** (a * (b - 1))
-            * IntPolynomial((-a * b, 1)) ** (a - 1)
-        )
-        want_q = (
-            IntPolynomial((-b * (a - 1), 1)) ** (a * (b - 1))
-            * IntPolynomial((-b * (a - 2), 1)) ** (a - 1)
-            * IntPolynomial((-2 * b * (a - 1), 1))
+        want_a = IntPolynomial.from_roots([(0, a * (b - 1)), (-b, a - 1), (b * (a - 1), 1)])
+        want_l = IntPolynomial.from_roots([(0, 1), (b * (a - 1), a * (b - 1)), (a * b, a - 1)])
+        want_q = IntPolynomial.from_roots(
+            [(b * (a - 1), a * (b - 1)), (b * (a - 2), a - 1), (2 * b * (a - 1), 1)]
         )
         assert el.char_poly_exact(adj) == want_a
         assert el.char_poly_exact(lap) == want_l
@@ -119,9 +114,59 @@ def test_charpoly_rejects_ragged():
         el.char_poly_exact([[1, 2], [3]])
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [np.eye(2), [[1.5]], np.zeros((2, 2, 2), dtype=int), [[1, 2]], np.zeros((2, 3), dtype=int),
+     [["1"]], [[None]]],
+    ids=["float", "float-list", "3-D", "non-square", "non-square-array", "str", "none"],
+)
+def test_charpoly_rejects_non_integer_and_non_square(matrix):
+    with pytest.raises(ValueError, match="square array of integers"):
+        el.char_poly_exact(matrix)
+
+
 def test_charpoly_rejects_entries_past_int64_kernel():
-    with pytest.raises(ValueError, match="too large"):
-        el.char_poly_exact([[2**31, 0], [0, 0]])
+    # n * max|M_ij| >= 2^32, also for Python ints past int64 (object arrays)
+    # and for the most negative int64, which np.abs would wrap
+    for matrix in (
+        [[2**31, 0], [0, 0]],
+        [[2**70]],
+        [[-(2**70), 0], [0, 1]],
+        np.array([[2**63]], dtype=np.uint64),
+        np.array([[-(2**63)]], dtype=np.int64),
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            el.char_poly_exact(matrix)
+
+
+def test_charpoly_same_for_lists_and_integer_dtypes():
+    # int8 holds -128, whose np.abs wraps to itself
+    signed = [[-128, 5, 0], [3, 127, -1], [0, -128, 2]]
+    want = el.char_poly_exact(signed)
+    assert list(want.coeffs) == oracles.brute_charpoly(signed)
+    for dtype in (np.int8, np.int16, np.int64):
+        assert el.char_poly_exact(np.array(signed, dtype=dtype)) == want
+    unsigned = [[255, 1, 0], [0, 200, 255], [7, 0, 0]]
+    want = el.char_poly_exact(unsigned)
+    assert list(want.coeffs) == oracles.brute_charpoly(unsigned)
+    for dtype in (np.uint8, np.uint64, np.int64):
+        assert el.char_poly_exact(np.array(unsigned, dtype=dtype)) == want
+    bits = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0]]
+    want = el.char_poly_exact(bits)
+    assert list(want.coeffs) == oracles.brute_charpoly(bits)
+    for dtype in (bool, np.uint8, np.int64):
+        assert el.char_poly_exact(np.array(bits, dtype=dtype)) == want
+    assert el.char_poly_exact(np.array(bits, dtype=object)) == want
+    assert el.char_poly_exact(np.zeros((0, 0), dtype=int)).coeffs == (1,)
+
+
+def test_charpoly_squares_past_int64_stay_exact():
+    # 3.5e9^2 > 2^63: an int64 square wraps, and the wrapped ‖M‖_F^2 gives
+    # too few primes for the CRT lift
+    for matrix in ([[3_500_000_000]], np.array([[3_500_000_000]], dtype=np.uint64)):
+        assert el.char_poly_exact(matrix).coeffs == (-3_500_000_000, 1)
+    m = [[2_000_000_000, -2_000_000_000], [2_000_000_000, 1]]
+    assert list(el.char_poly_exact(m).coeffs) == oracles.brute_charpoly(m)
 
 
 def _assert_matches_faddeev_leverrier(matrix):
@@ -222,7 +267,7 @@ def test_twin_quotient_edge_cases():
         assert quotient.tolist() == [[0]]
         assert tail == IntegerSpectrum.merged([(0, n - 1)])
         rep = el.spectrum_report(edgeless)
-        x_to_n = IntPolynomial((0, 1)) ** n
+        x_to_n = IntPolynomial.from_roots([(0, n)])
         assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == (x_to_n,) * 3
         assert rep.adjacency_spectrum.roots == ((0, n),)
     # rows 0 and 1 agree but columns 0 and 1 do not: not twins
@@ -279,6 +324,47 @@ def test_charpoly_pivot_zero_mod_first_prime(data):
     assert list(got.coeffs) == oracles.brute_charpoly(matrix)
 
 
+def _primes_by_sieve(lo, hi):
+    """Primes in [lo, hi), descending, by a segmented sieve of Eratosthenes
+    (lo above sqrt(hi), so no sieving prime lies in the segment)."""
+    root = math.isqrt(hi) + 1
+    small = np.ones(root, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p :: p] = False
+    segment = np.ones(hi - lo, dtype=bool)
+    for p in np.flatnonzero(small).tolist():
+        segment[-lo % p :: p] = False
+    return (lo + np.flatnonzero(segment))[::-1].tolist()
+
+
+def test_primes_match_a_descending_sieve():
+    want = _primes_by_sieve((1 << 30) - 8192, 1 << 30)
+    assert len(want) >= 150
+    assert spectra._primes_below_2_30(150) == want[:150]
+    assert spectra._primes_below_2_30(3) == want[:3]
+
+
+def test_primes_are_searched_once_per_process(monkeypatch):
+    monkeypatch.setattr(spectra, "_PRIMES", [])
+    tested = []
+    is_prime = spectra._is_prime_64
+    monkeypatch.setattr(spectra, "_is_prime_64", lambda n: tested.append(n) or is_prime(n))
+    first = spectra._primes_below_2_30(3)
+    assert min(tested) == first[-1]
+    tested.clear()
+    assert spectra._primes_below_2_30(2) == first[:2]
+    assert spectra._primes_below_2_30(3) == first
+    assert tested == []
+    # extending the list tests only candidates below the primes already found
+    assert spectra._primes_below_2_30(5)[:3] == first
+    assert tested and max(tested) < first[-1]
+    # the returned list is a copy: callers cannot change the process's primes
+    spectra._primes_below_2_30(5).clear()
+    assert len(spectra._primes_below_2_30(5)) == 5
+
+
 def test_coefficient_bounds_cover_verify_paper_matrices(monkeypatch):
     # records what reaches the kernel: each class matrix and the Σ|λ_i|^2
     # bound its prime count was computed from
@@ -306,26 +392,22 @@ def test_coefficient_bounds_cover_verify_paper_matrices(monkeypatch):
 def test_integer_roots_laplacian_kab_form():
     # P_L(K_{a.b}) = x (x - b(a-1))^(a(b-1)) (x - ab)^(a-1)
     for a, b in [(3, 2), (7, 2), (3, 4)]:
-        p = (
-            IntPolynomial((0, 1))
-            * IntPolynomial((-b * (a - 1), 1)) ** (a * (b - 1))
-            * IntPolynomial((-a * b, 1)) ** (a - 1)
-        )
-        spec = el.integer_roots(p)
+        p = IntPolynomial.from_roots([(0, 1), (b * (a - 1), a * (b - 1)), (a * b, a - 1)])
+        spec = el.integer_roots(p, a * b)
         assert spec is not None
         assert dict(spec.roots) == {0: 1, b * (a - 1): a * (b - 1), a * b: a - 1}
 
 
 def test_integer_roots_irreducible_none():
-    assert el.integer_roots(IntPolynomial((1, 0, 1))) is None  # x^2 + 1
-    assert el.integer_roots(IntPolynomial((-2, 0, 1))) is None  # x^2 - 2
+    assert el.integer_roots(IntPolynomial((1, 0, 1)), 2) is None  # x^2 + 1
+    assert el.integer_roots(IntPolynomial((-2, 0, 1)), 2) is None  # x^2 - 2
 
 
 def test_integer_roots_qn_form():
     # P_Q(K_n) roots {(n-2)^(n-1), (2n-2)^1}
     n = 6
-    p = IntPolynomial((-(n - 2), 1)) ** (n - 1) * IntPolynomial((-(2 * n - 2), 1))
-    spec = el.integer_roots(p)
+    p = IntPolynomial.from_roots([(n - 2, n - 1), (2 * n - 2, 1)])
+    spec = el.integer_roots(p, 2 * n - 2)
     assert dict(spec.roots) == {n - 2: n - 1, 2 * n - 2: 1}
 
 
@@ -339,7 +421,7 @@ def test_integer_roots_with_bound():
 
 def test_integer_roots_requires_monic():
     with pytest.raises(ValueError):
-        el.integer_roots(IntPolynomial((1, 2)))
+        el.integer_roots(IntPolynomial((1, 2)), 2)
 
 
 @given(
@@ -358,7 +440,7 @@ def test_integer_roots_round_trip(roots):
     for v, m in roots:
         merged[v] = merged.get(v, 0) + m
     p = IntPolynomial.from_roots(sorted(merged.items()))
-    spec = el.integer_roots(p)
+    spec = el.integer_roots(p, 30)
     assert spec is not None
     assert dict(spec.roots) == merged
     assert spec.to_poly() == p
