@@ -175,7 +175,7 @@ def _records_csv(records) -> str:
 
 def cmd_verify_paper(args) -> int:
     families = None
-    if args.families:
+    if args.families is not None:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
     try:
         records = run_paper_verification(families=families, max_order=args.max_order)

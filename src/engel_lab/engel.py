@@ -7,8 +7,8 @@ it is eventually periodic; a verdict reports either the minimal k with
 
 ``engel_relation`` decides [x,_k y] = 1 for every pair at once by pointer
 doubling on the rows of the group's commutator map ``c[y, a] = [a, y]``
-(``groups.commutator_map``); L(G) and the full, reduced and directed graphs
-are views of that one matrix.
+(``groups.commutator_map``), stopping once a round adds no pair; L(G) and
+the full, reduced and directed graphs are views of that one matrix.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import numpy as np
 from .graphs import DirectedGraph, SimpleGraph, pair_list
 from .groups import (
     FiniteGroup,
-    _is_prime,
     commutator_map,
-    first_power_in,
     is_nilpotent,
     is_normal,
+    prime_order_cosets,
     subgroup_generated,
 )
 # the doubling steps gather on the same row blocks as the commutator map
@@ -79,7 +78,17 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
     Row y of ``f`` is the map a -> [a, y]; squaring every row at once
     (pointer doubling) gives its 2^j-th iterate.  The identity is a fixed
     point of each map and any element that reaches it does so in fewer than
-    n steps, so after 2^d >= n steps x maps to 1 iff it ever does.
+    n steps, so after 2^d >= n steps x maps to 1 iff it ever does: d =
+    (n-1).bit_length() rounds bound the loop.
+
+    A block of rows stops sooner, once a round adds no entry equal to 1.
+    In row y, let the depth of a be the least k >= 1 with f^k(a) = 1.  If a
+    has depth d > 1 then f(a) has depth d - 1, so the finite depths form a
+    contiguous range 1..D.  After j rounds exactly the entries of depth
+    <= 2^j are 1; if round j + 1 adds none, no depth lies in
+    2^j + 1..2^(j+1), so D <= 2^j and the row is final.  Abelian groups
+    (every entry 1 at the start) and groups of small Engel depth take no or
+    a few rounds.
     """
     n = g.order
     c = commutator_map(g)
@@ -87,9 +96,17 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
     block = max(1, _RELATION_BLOCK_ENTRIES // n)
     for lo in range(0, n, block):
         f = c[lo : lo + block]
+        done = f == g.identity
+        count = np.count_nonzero(done)
         for _ in range((n - 1).bit_length()):
+            if count == done.size:
+                break
             f = np.take_along_axis(f, f, axis=1)
-        reaches[lo : lo + block] = f == g.identity
+            done = f == g.identity
+            count, before = np.count_nonzero(done), count
+            if count == before:
+                break
+        reaches[lo : lo + block] = done
     reaches.flags.writeable = False
     return reaches.T
 
@@ -129,14 +146,14 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
         raise ValueError(f"L({g.label}) is not nilpotent")
     g_nilpotent = None  # is_nilpotent(g), computed once a closure is all of G
     seen = inside.copy()
-    coset_order = first_power_in(g, inside)  # the order of every xL in G/L
+    prime_coset = prime_order_cosets(g, inside)
     c = commutator_map(g)
     for x in range(g.order):
         if seen[x]:
             continue
         conjugates = np.unique(g.table[x, c[:, x]])  # x^a = x [x, a]
         seen[g.table[np.ix_(conjugates, members)]] = True
-        if not _is_prime(int(coset_order[x])):
+        if not prime_coset[x]:
             continue
         closure = subgroup_generated(g, np.concatenate((members, conjugates)))
         if closure.all():

@@ -4,11 +4,16 @@ Every group is a fully materialised Cayley table plus canonical element names,
 so downstream computations reduce to exact table arithmetic.  ``table`` and
 ``inverse`` are read-only numpy arrays of dtype ``np.min_scalar_type(order)``.
 Each builder gives its table as one broadcast expression of row and column
-indices; the structure functions (centre, series, normality, closure, element
-orders) are array expressions over the table and the commutator map
-``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group, whose
-commutator map also gives the subgroup's own series.  Builders are pure and
-enumerate elements in a documented, bit-reproducible order.
+indices; a permutation group's is one integer product of the permutations
+with a weight matrix, which gives each product's base-k code, and a dense
+lookup from codes to indices.  The structure functions (centre, series,
+normality, closure) are array expressions over the table and the commutator
+map ``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
+whose commutator map also gives the subgroup's own series.  ``powers`` takes
+every element to the m-th power by repeated squaring, and element orders and
+prime-order cosets come from a few such powers per prime dividing the order.
+Builders are pure and enumerate elements in a documented, bit-reproducible
+order.
 """
 
 from __future__ import annotations
@@ -121,29 +126,68 @@ def _mask(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     return inside
 
 
-def first_power_in(g: FiniteGroup, target: np.ndarray) -> np.ndarray:
-    """For every x, the least k >= 1 with x^k in the mask ``target``, which
-    must hold the identity (every x^|x| = 1 then bounds the walk): the
-    element orders for target {1}, the coset orders in G/N for a normal N."""
-    target = _mask(g, target)
-    if not target[g.identity]:
-        raise ValueError(f"{g.label}: the target of first_power_in lacks the identity")
-    x = np.arange(g.order)
-    first = np.zeros(g.order, dtype=np.intp)
-    power, k = x, 1
-    while True:
-        first[(first == 0) & target[power]] = k
-        if first.all():
-            return first
-        power, k = g.table[power, x], k + 1
+def powers(g: FiniteGroup, m: int, x: Optional[np.ndarray] = None) -> np.ndarray:
+    """x^m (m >= 0) for every element x, or for each entry of the index
+    array ``x``, by repeated squaring: about 2 log2(m) table gathers."""
+    if m < 0:
+        raise ValueError(f"powers takes an exponent m >= 0, got {m}")
+    base = np.arange(g.order) if x is None else np.asarray(x)
+    acc = np.full(base.shape, g.identity, dtype=g.table.dtype)
+    while m:
+        if m & 1:
+            acc = g.table[acc, base]
+        m >>= 1
+        if m:
+            base = g.table[base, base]
+    return acc
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The (p, a) with p^a exactly dividing n, p ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        if a:
+            out.append((p, a))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 @lru_cache(maxsize=128)
 def element_orders(g: FiniteGroup) -> np.ndarray:
-    """Read-only order of every element: the least k >= 1 with x^k = 1."""
-    orders = first_power_in(g, np.arange(g.order) == g.identity)
+    """Read-only order of every element: the least k >= 1 with x^k = 1.
+
+    For each p^a exactly dividing |G|, z = x^(|G|/p^a) has order p^e where
+    p^e exactly divides |x|; e is the number of p-th powers that take z to
+    1, at most a.  |x| is the product of these p^e.
+    """
+    orders = np.ones(g.order, dtype=np.intp)
+    for p, a in _prime_powers(g.order):
+        z = powers(g, g.order // p**a)
+        for _ in range(a):
+            live = z != g.identity
+            if not live.any():
+                break
+            orders[live] *= p
+            z = powers(g, p, z)
     orders.flags.writeable = False
     return orders
+
+
+def prime_order_cosets(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
+    """Mask of the x whose coset xN has prime order in G/N, for the normal
+    subgroup N with mask ``inside``: x is not in N and x^p is, for some
+    prime p dividing [G:N] (an order-p coset has p | [G:N] by Lagrange)."""
+    inside = _mask(g, inside)
+    index = g.order // int(np.count_nonzero(inside))
+    hit = np.zeros(g.order, dtype=bool)
+    for p, _ in _prime_powers(index):
+        hit |= inside[powers(g, p)]
+    return hit & ~inside
 
 
 def _finalize(
@@ -317,19 +361,19 @@ def _cycle_name(p: Sequence[int]) -> str:
 def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     """Group of lexicographically sorted permutations of 0..k-1."""
     p = np.array(perms, dtype=np.intp)
-    k = p.shape[1]
-    # base-k codes of the permutations, ascending because perms is sorted
-    codes = p @ k ** np.arange(k - 1, -1, -1)
-
-    def product(u, v):
-        # s*t acts as t-first composition, (s*t)(i) = s(t(i)); its code is
-        # built one point at a time
-        code = 0
-        for i in range(k):
-            code = code * k + p[u, p[v, i]]
-        return np.searchsorted(codes, code)
-
-    return _finalize(len(perms), product, [_cycle_name(s) for s in perms], [], label)
+    n, k = p.shape
+    # s*t acts as t-first composition, (s*t)(i) = s(t(i)), so its base-k code
+    # sum_i s(t(i)) k^(k-1-i) is sum_j s(j) k^(k-1-t^-1(j)) = p[s] . weight[t]
+    # with weight[t, t(i)] = k^(k-1-i); a dense lookup maps codes to indices
+    place = k ** np.arange(k - 1, -1, -1)
+    weight = np.zeros((n, k), dtype=np.intp)
+    np.put_along_axis(weight, p, place, axis=1)
+    index = np.zeros(k**k, dtype=np.min_scalar_type(n))
+    index[p @ place] = np.arange(n)
+    return _finalize(
+        n, lambda u, v: index[p[u.ravel()] @ weight[v.ravel()].T],
+        [_cycle_name(s) for s in perms], [], label,
+    )
 
 
 def check_perm_degree(n: int, family: str) -> None:

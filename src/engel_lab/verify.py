@@ -455,15 +455,16 @@ def run_paper_verification(
 
     Groups filtered out by ``families`` are omitted; groups larger than
     ``max_order`` produce explicit "skipped" records.  A family name not in
-    ``specs.FAMILY_NAMES`` raises ``GroupSpecError`` (a ``ValueError``).
+    ``specs.FAMILY_NAMES``, or a filter naming no family, raises
+    ``GroupSpecError`` (a ``ValueError``).
     """
-    family_filter = set(families) if families else None
+    family_filter = None if families is None else set(families)
+    known = ", ".join(FAMILY_NAMES.values())
+    if family_filter is not None and not family_filter:
+        raise GroupSpecError(f"the family filter names no family; known: {known}")
     unknown = sorted((family_filter or set()) - set(FAMILY_NAMES.values()))
     if unknown:
-        raise GroupSpecError(
-            f"unknown families {', '.join(unknown)}; "
-            f"known: {', '.join(FAMILY_NAMES.values())}"
-        )
+        raise GroupSpecError(f"unknown families {', '.join(unknown)}; known: {known}")
     records = []
     for claim in all_claims():
         spec = parse_group_spec(claim.group)

@@ -4,9 +4,10 @@ Everything here is deliberately naive: groups are modelled with explicit
 element tuples (not index tables), graph searches are exhaustive, and
 polynomials come from permanent-style determinant expansion or from a modular
 Faddeev-LeVerrier kernel.  None of it shares code with the package under test,
-except the subgroup, quotient and isomorphism tests at the end, which take
-the package's groups and graphs and use its table wrapper, normality test,
-subgroup closure and multipartite recognition.
+except the subgroup, quotient and isomorphism tests and the earlier kernels at
+the end, which take the package's groups and graphs and use its table wrapper,
+commutator map, cycle names, normality test, subgroup closure and
+multipartite recognition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import numpy as np
 
 from engel_lab.analysis import recognize_complete_multipartite
 from engel_lab.graphs import SimpleGraph
-from engel_lab.groups import FiniteGroup, from_table, is_normal, subgroup_generated
+from engel_lab.groups import (
+    FiniteGroup,
+    _cycle_name,
+    commutator_map,
+    from_table,
+    is_normal,
+    subgroup_generated,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -595,3 +603,31 @@ def graphs_isomorphic_small(g1: SimpleGraph, g2: SimpleGraph) -> bool:
             f"general isomorphism limited to {ISO_VERTEX_LIMIT} vertices"
         )
     return _iso_backtrack(g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# earlier kernels, kept as differential oracles for their replacements
+
+
+def engel_relation_fixed_rounds(g: FiniteGroup) -> np.ndarray:
+    """``rel[x, y]`` iff [x, _k y] = 1 for some k, by pointer doubling on the
+    whole commutator map for all (n-1).bit_length() rounds, never stopping
+    early."""
+    f = commutator_map(g)
+    for _ in range((g.order - 1).bit_length()):
+        f = np.take_along_axis(f, f, axis=1)
+    return (f == g.identity).T
+
+
+def perm_group_by_search(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
+    """The group of the sorted permutations ``perms``, tabled by composing
+    s(t(i)) point by point and finding each product's base-k code with
+    ``searchsorted``; names are the package's cycle notation."""
+    p = np.array(perms, dtype=np.intp)
+    k = p.shape[1]
+    codes = p @ k ** np.arange(k - 1, -1, -1)
+    u, v = np.arange(len(perms))[:, None], np.arange(len(perms))[None, :]
+    code = 0
+    for i in range(k):
+        code = code * k + p[u, p[v, i]]
+    return from_table(np.searchsorted(codes, code), [_cycle_name(s) for s in perms], label=label)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import engel_lab as el
 from engel_lab import engel
-from engel_lab.groups import first_power_in
+from engel_lab.groups import element_orders, prime_order_cosets
 from engel_lab.engel import engel_relation, validate_left_engel_baer
 from engel_lab.verify import _soluble_catalog
 
@@ -130,6 +130,37 @@ def test_engel_relation_matches_verdict_soluble_catalog(spec):
     _assert_relation_matches_verdicts(spec)
 
 
+DEEP_RELATION_SPECS = ["S:4", "A:5", "S:5", "D:128", "Q:64"]
+
+
+@pytest.mark.parametrize("spec", [*_soluble_catalog(48), *DEEP_RELATION_SPECS])
+def test_engel_relation_matches_the_fixed_round_doubling(spec):
+    # stopping a block early must give the relation all rounds give, also
+    # when every block is three rows
+    g = el.build_group(spec)
+    want = oracles.engel_relation_fixed_rounds(g)
+    assert np.array_equal(engel_relation(g), want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engel, "_RELATION_BLOCK_ENTRIES", 3 * g.order)
+        assert np.array_equal(engel_relation.__wrapped__(g), want)
+
+
+@pytest.mark.parametrize("spec, squarings", [("C:64", 0), ("D:128", 3), ("S:5", 2)])
+def test_engel_relation_stops_once_a_round_adds_nothing(spec, squarings, monkeypatch):
+    # abelian rows are final at once; D_128 (Engel depth 7) needs 3 rounds
+    # where the bound allows 7, and S_5 stops after 2 of its 7
+    g = el.build_group(spec)
+    calls, take = [], np.take_along_axis
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(engel.np, "take_along_axis", counted)
+    engel_relation.__wrapped__(g)
+    assert len(calls) == squarings
+
+
 # --- left Engel sets
 
 
@@ -186,6 +217,10 @@ def _first_power_in_by_definition(g, x, inside):
     while power not in inside:
         power, k = g.mul(power, x), k + 1
     return k
+
+
+def _is_prime(k):
+    return k >= 2 and all(k % d for d in range(2, k))
 
 
 def _baer_witness_by_definition(g, members):
@@ -252,14 +287,25 @@ def test_baer_walk_matches_definition_on_smaller_candidates(spec, monkeypatch):
                 validate_left_engel_baer(g)
 
 
-@pytest.mark.parametrize("spec", SMALLER_CANDIDATE_SPECS)
-def test_first_power_in_matches_the_per_element_loop(spec):
-    # coset orders over every Baer candidate, element orders over {1}
+@pytest.mark.parametrize("spec", sorted({*SMALLER_CANDIDATE_SPECS, *_soluble_catalog(48), "A:5"}))
+def test_element_orders_match_the_per_element_loop(spec):
     g = el.build_group(spec)
-    for members in [(g.identity,), *_baer_candidates(g)]:
-        want = [_first_power_in_by_definition(g, x, set(members)) for x in range(g.order)]
-        assert first_power_in(g, _mask(g, members)).tolist() == want
-    assert np.array_equal(el.groups.element_orders(g), first_power_in(g, _mask(g, [g.identity])))
+    want = [_first_power_in_by_definition(g, x, {g.identity}) for x in range(g.order)]
+    assert element_orders(g).tolist() == want
+
+
+@pytest.mark.parametrize("spec", SMALLER_CANDIDATE_SPECS)
+def test_prime_order_cosets_match_the_per_element_loop(spec):
+    # x^p in L for a prime p | [G:L] iff xL has prime order in G/L, on
+    # every Baer candidate L
+    g = el.build_group(spec)
+    for members in _baer_candidates(g):
+        inside = set(members)
+        want = [
+            x not in inside and _is_prime(_first_power_in_by_definition(g, x, inside))
+            for x in range(g.order)
+        ]
+        assert prime_order_cosets(g, _mask(g, members)).tolist() == want, (spec, members)
 
 
 @pytest.mark.parametrize("spec", sorted({*SMALLER_CANDIDATE_SPECS, *_soluble_catalog(48)}))

@@ -496,6 +496,22 @@ def test_builder_matches_model_group(spec):
         assert np.array_equal(el.specs._build_cached.__wrapped__(spec).table, g.table)
 
 
+@pytest.mark.parametrize(
+    "family, n", [*(("S", n) for n in range(2, 7)), *(("A", n) for n in range(3, 7))]
+)
+def test_perm_table_matches_the_searchsorted_builder(family, n):
+    # the one-product table of S_n and A_n against the point-by-point
+    # composition whose codes are found by searchsorted
+    perms = groups._perms(n, family, even=family == "A")
+    g = groups._perm_group(perms, f"{family}{n}")
+    want = oracles.perm_group_by_search(perms, f"{family}{n}")
+    assert g.table.dtype == want.table.dtype
+    assert np.array_equal(g.table, want.table)
+    assert g.identity == want.identity
+    assert np.array_equal(g.inverse, want.inverse)
+    assert g.element_names == want.element_names
+
+
 @functools.lru_cache(maxsize=None)
 def _model_structure(spec):
     model = _model(spec)
@@ -549,6 +565,28 @@ def test_structure_matches_model_group(spec, data):
         assert [el.is_normal(g, s) for s in candidates] == normal
 
 
+POWER_SPECS = ["C:1", "C:12", "D:24", "Q:16", "F:3:7", "A:4", "S:4", "A:5", "P:(C:3)x(D:6)"]
+
+
+@pytest.mark.parametrize("spec", POWER_SPECS)
+def test_powers_match_the_scalar_power(spec):
+    g = el.build_group(spec)
+    for m in (0, 1, 2, g.order - 1, g.order):
+        assert groups.powers(g, m).tolist() == [g.power(x, m) for x in range(g.order)], m
+    # on an index array, entry by entry in its own shape
+    x = np.array([[g.order - 1, 0], [g.identity, g.order // 2]])
+    assert groups.powers(g, 5, x).tolist() == [[g.power(int(a), 5) for a in row] for row in x]
+    with pytest.raises(ValueError, match="m >= 0"):
+        groups.powers(g, -1)
+
+
+@given(spec=st.sampled_from(POWER_SPECS), m=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=40, deadline=None)
+def test_powers_match_the_scalar_power_property(spec, m):
+    g = el.build_group(spec)
+    assert groups.powers(g, m).tolist() == [g.power(x, m) for x in range(g.order)]
+
+
 def test_table_and_inverse_are_read_only():
     g = el.build_group("D:12")
     with pytest.raises(ValueError):
@@ -599,7 +637,7 @@ def test_mask_arguments_must_be_bool_masks_of_the_group(bad):
     # an index list read as a mask would silently answer for another subgroup
     g = el.build_group("S:4")
     calls = (el.is_normal, el.is_nilpotent, el.upper_central_series, el.hypercenter,
-             groups.first_power_in)
+             groups.prime_order_cosets)
     for call in calls:
         with pytest.raises(ValueError, match="bool mask"):
             call(g, bad)
@@ -609,6 +647,3 @@ def test_mask_helpers_refuse_the_other_argument_kind():
     g = el.build_group("S:4")
     with pytest.raises(ValueError, match="not a mask"):
         el.subgroup_generated(g, el.center(g))
-    # without the identity in the target the power walk would never end
-    with pytest.raises(ValueError, match="lacks the identity"):
-        groups.first_power_in(g, np.arange(g.order) != g.identity)

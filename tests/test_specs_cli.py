@@ -339,6 +339,17 @@ def test_cli_verify_paper_unknown_family_is_a_usage_error(capsys):
     assert err.startswith("usage error: unknown families dihedrals;")
 
 
+@pytest.mark.parametrize("families", [",", "", " , "])
+def test_cli_verify_paper_family_filter_naming_no_family_is_a_usage_error(families, capsys):
+    # an empty filter must not read as no filter, which would run every record
+    code, out, err = _run_cli(["verify-paper", "--families", families], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: the family filter names no family;")
+    with pytest.raises(ValueError, match="names no family"):
+        run_paper_verification(families=[])
+
+
 def test_cli_verify_paper_csv(capsys):
     code, out, err = _run_cli(
         ["verify-paper", "--families", "frobenius", "--max-order", "25"], capsys
