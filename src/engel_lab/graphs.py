@@ -6,8 +6,10 @@ matrix lists its pairs in row-major, i.e. lexicographic, order (upper
 triangle only for undirected graphs).  The DOT and JSON wire formats are
 written from that list, so serialised output is byte-reproducible;
 ``to_json`` is the text of ``json.dumps`` of ``to_json_obj`` with
-``sort_keys=True, indent=2``, plus a newline.  Accessors return Python ints
-and bools.
+``sort_keys=True, indent=2``, plus a newline.  Both writers go through one
+row writer: the text of a pair (i, j) is a head for i and a tail for j, each
+formatted once per vertex, and each row i is its head joined between the
+tails of its pairs.  Accessors return Python ints and bools.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-
-_JSON_PAIR = "    [\n      %d,\n      %d\n    ]"
-
 
 def _matrix_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool):
     adj = np.zeros((n, n), dtype=bool)
@@ -55,11 +54,20 @@ class _Graph:
     def n(self) -> int:
         return self.adj.shape[0]
 
-    def _flat_pairs(self) -> list[int]:
-        """i0, j0, i1, j1, ... over the lexicographic pair list; entries are
-        shared, one int object per vertex."""
-        vertex = np.arange(self.n).astype(object)
-        return vertex[np.column_stack(self.pair_arrays()).ravel()].tolist()
+    def _pair_rows(self, head: str, tail: str) -> list[str]:
+        """The lexicographic pair list as text, two strings per row i that
+        has pairs: ``head % i``, then the ``tail % j`` of its pairs (i, j)
+        joined by ``head % i``.  The tail strings are shared, one per
+        vertex."""
+        i, j = self.pair_arrays()
+        tails = np.array([tail % v for v in range(self.n)], dtype=object)[j].tolist()
+        out, start = [], 0
+        for row, end in enumerate(np.cumsum(np.bincount(i, minlength=self.n)).tolist()):
+            if end > start:
+                text = head % row
+                out += (text, text.join(tails[start:end]))
+                start = end
+        return out
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -68,20 +76,17 @@ class _Graph:
         return {"n": self.n, "edges": np.column_stack(self.pair_arrays()).tolist()}
 
     def to_json(self) -> str:
-        args = (*self._flat_pairs(), self.n)
-        if len(args) == 1:
-            return '{\n  "edges": [],\n  "n": %d\n}\n' % args
-        # the template is built in one piece and the joined pairs freed before
-        # the final format, so at most one copy of it is alive beside the text
-        pairs = [_JSON_PAIR] * (len(args) // 2)
-        return ('{\n  "edges": [\n%s\n  ],\n  "n": %%d\n}\n' % ",\n".join(pairs)) % args
+        rows = self._pair_rows("    [\n      %d,\n      ", "%d\n    ],\n")
+        if not rows:
+            return '{\n  "edges": [],\n  "n": %d\n}\n' % self.n
+        rows[-1] = rows[-1][:-2] + "\n"  # no comma after the last pair
+        return "".join(['{\n  "edges": [\n', *rows, '  ],\n  "n": %d\n}\n' % self.n])
 
     def to_dot(self, name: str = "G") -> str:
         keyword, op = self._DOT
-        flat = self._flat_pairs()
         vertices = "".join(f'  {i} [label="{self.label_of(i)}"];\n' for i in range(self.n))
-        edges = (f"  %d {op} %d;\n" * (len(flat) // 2)) % tuple(flat)
-        return f'{keyword} "{name}" {{\n{vertices}{edges}}}\n'
+        edges = self._pair_rows(f"  %d {op} ", "%d;\n")
+        return "".join([f'{keyword} "{name}" {{\n', vertices, *edges, "}\n"])
 
 
 class SimpleGraph(_Graph):

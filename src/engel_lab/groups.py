@@ -470,7 +470,19 @@ def upper_central_series(
         series.append(inside)
 
 
+@lru_cache(maxsize=128)
+def _group_hypercenter(g: FiniteGroup) -> np.ndarray:
+    top = upper_central_series(g)[-1]
+    top.flags.writeable = False  # shared by every caller
+    return top
+
+
 def hypercenter(g: FiniteGroup, within: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the stable term of the upper central series of the subgroup
+    with mask ``within``; for all of G (the default) it is computed once per
+    group and read-only."""
+    if within is None:
+        return _group_hypercenter(g)
     return upper_central_series(g, within)[-1]
 
 

@@ -6,7 +6,7 @@ import json
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
@@ -399,17 +399,26 @@ def _dot_reference(keyword, op, name, n, labels, pairs):
 
 @st.composite
 def _graph_pairs(draw, directed):
-    n = draw(st.integers(1, 40))
+    # n up to 130, so that vertex numbers of one, two and three digits occur;
+    # random graphs are sparse, so most rows have no pairs
+    n = draw(st.integers(1, 130))
     pairs = [(i, j) for i in range(n) for j in range(n) if (i != j if directed else i < j)]
-    kind = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    kind = draw(st.sampled_from(["random", "edgeless", "complete", "one pair", "last row"]))
     if kind == "edgeless":
         return n, []
     if kind == "complete" or not pairs:
         return n, pairs
+    if kind == "one pair":
+        return n, [draw(st.sampled_from(pairs))]
+    if kind == "last row":
+        last = [p for p in pairs if p[0] == pairs[-1][0]]
+        return n, draw(st.lists(st.sampled_from(last), min_size=1, unique=True))
     return n, draw(st.lists(st.sampled_from(pairs), unique=True))
 
 
 @given(_graph_pairs(directed=False), st.booleans())
+@example((1, []), False)
+@example((130, [(0, 129), (0, 9), (99, 100), (128, 129)]), True)  # rows 1-98 empty
 @settings(max_examples=80, deadline=None)
 def test_simple_graph_writers_match_references(drawn, labelled):
     n, edges = drawn
@@ -423,6 +432,8 @@ def test_simple_graph_writers_match_references(drawn, labelled):
 
 
 @given(_graph_pairs(directed=True), st.booleans())
+@example((1, []), True)
+@example((130, [(0, 129), (9, 0), (99, 100), (129, 128)]), False)  # rows 10-98 empty
 @settings(max_examples=80, deadline=None)
 def test_directed_graph_writers_match_references(drawn, labelled):
     from engel_lab.graphs import DirectedGraph

@@ -1,6 +1,8 @@
 """Group-core: builders, axioms, commutator machinery, series, isomorphism."""
 
 import functools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,10 @@ from engel_lab.verify import _soluble_catalog
 
 import oracles
 from oracles import are_isomorphic_small, quotient_iso_check
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import layertrace  # noqa: E402
+import workloads  # noqa: E402
 
 
 # All builder outputs swept by the axiom validator (desk scale, exhaustive
@@ -314,6 +320,7 @@ def test_hypercenter_c3xd6():
     g = el.build_group("P:(C:3)x(D:6)")
     z = el.hypercenter(g)
     assert np.count_nonzero(z) == 3
+    assert el.hypercenter(g) is z and not z.flags.writeable  # shared by callers
     # stabilises at C3 x {1}: all members commute with everything
     assert el.center(g)[z].all()
 
@@ -332,6 +339,32 @@ def test_upper_central_series_strictly_increasing():
         assert sizes[0] == 1
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
         assert np.array_equal(series[-1], el.hypercenter(g))
+
+
+def test_group_command_computes_the_whole_group_series_once(monkeypatch, capsys):
+    # on S:4 the Baer walk reaches a normal closure equal to G, so it asks
+    # whether G is nilpotent before cmd_group asks for the hypercenter
+    calls = []
+    series = groups.upper_central_series
+
+    def counted(g, within=None):
+        calls.append(within is None)
+        return series(g, within)
+
+    monkeypatch.setattr(groups, "upper_central_series", counted)
+    caches = layertrace.lru_caches()
+
+    def whole_group_calls(specs):
+        calls.clear()
+        for spec in specs:
+            layertrace.clear_caches(caches)  # as in a fresh process
+            assert cli.main(["group", spec]) == 0
+        capsys.readouterr()
+        return sum(calls)
+
+    assert whole_group_calls(["S:4"]) == 1
+    census = workloads.census_specs()
+    assert len(census) == 180 and whole_group_calls(census) == 180
 
 
 def test_d12_hypercenter_order_two():

@@ -203,6 +203,17 @@ def test_cli_analyze_bytes_are_pinned(spec, capsys):
     assert _run_cli(["analyze", spec], capsys) == (0, want, "")
 
 
+@pytest.mark.parametrize("args, name", [
+    (["S:4", "--directed"], "graph_S4_directed.json"),
+    (["F:5:11", "--full", "--dot"], "graph_F511_full.dot"),
+    # 103 vertices: vertex numbers of one, two and three digits
+    (["D:206", "--reduced", "--dot"], "graph_D206_reduced.dot"),
+])
+def test_cli_graph_bytes_are_pinned(args, name, capsys):
+    want = (DATA / name).read_text()
+    assert _run_cli(["graph", *args], capsys) == (0, want, "")
+
+
 def test_cli_graph_dot(capsys):
     code, out, _ = _run_cli(["graph", "D:6", "--reduced", "--dot"], capsys)
     assert code == 0
