@@ -29,6 +29,10 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _skipped(reason: str) -> dict:
+    return {"skipped": {"reason": reason}}
+
+
 def _build_or_exit(args) -> Optional[FiniteGroup]:
     """The group of ``args.spec``, or None after writing the skip document of
     an order above ``--max-order``, which is read from the spec before any
@@ -40,8 +44,8 @@ def _build_or_exit(args) -> Optional[FiniteGroup]:
     except GroupSpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from exc
-    skipped = {"reason": f"order {spec.order()} exceeds --max-order {args.max_order}"}
-    sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": args.spec, "skipped": skipped}))
+    reason = f"order {spec.order()} exceeds --max-order {args.max_order}"
+    sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": args.spec, **_skipped(reason)}))
     return None
 
 
@@ -100,45 +104,22 @@ def cmd_analyze(args) -> int:
     g = _build_or_exit(args)
     if g is None:
         return 0
+    doc = {"schema": SCHEMA, "spec": args.spec, "label": g.label, "order": g.order}
     try:
         graph = engel.reduced_co_engel_graph(g)
     except ValueError as exc:
-        sys.stdout.write(
-            _dump_json(
-                {
-                    "schema": SCHEMA,
-                    "spec": args.spec,
-                    "label": g.label,
-                    "order": g.order,
-                    "reduced_graph": {"skipped": {"reason": str(exc)}},
-                }
-            )
-        )
+        doc["reduced_graph"] = _skipped(str(exc))
+        sys.stdout.write(_dump_json(doc))
         return 0
+    n = graph.n
     shape = recognize_complete_multipartite(graph)
-    if graph.n <= CLIQUE_VERTEX_LIMIT:
-        clique: object = clique_number(graph)
-    else:
-        clique = {
-            "skipped": {
-                "reason": f"{graph.n} vertices exceeds clique limit {CLIQUE_VERTEX_LIMIT}"
-            }
-        }
-    if graph.n <= SPECTRUM_VERTEX_LIMIT:
-        spectrum: object = spectrum_report(graph).to_json_obj()
-    else:
-        spectrum = {
-            "skipped": {
-                "reason": f"{graph.n} vertices exceeds spectrum limit {SPECTRUM_VERTEX_LIMIT}"
-            }
-        }
+    clique = (clique_number(graph) if n <= CLIQUE_VERTEX_LIMIT
+              else _skipped(f"{n} vertices exceeds clique limit {CLIQUE_VERTEX_LIMIT}"))
+    spectrum = (spectrum_report(graph).to_json_obj() if n <= SPECTRUM_VERTEX_LIMIT
+                else _skipped(f"{n} vertices exceeds spectrum limit {SPECTRUM_VERTEX_LIMIT}"))
     sc = topology.surface_class_of_reduced(g)
-    doc = {
-        "schema": SCHEMA,
-        "spec": args.spec,
-        "label": g.label,
-        "order": g.order,
-        "reduced_vertices": graph.n,
+    doc.update({
+        "reduced_vertices": n,
         "reduced_edges": graph.n_edges(),
         "shape": None if shape is None else list(shape.parts),
         "clique_number": clique,
@@ -151,7 +132,7 @@ def cmd_analyze(args) -> int:
         },
         "spectrum": spectrum,
         "zagreb": topology.zagreb_report(graph).to_json_obj(),
-    }
+    })
     sys.stdout.write(_dump_json(doc))
     return 0
 

@@ -22,14 +22,13 @@ import numpy as np
 from .graphs import DirectedGraph, SimpleGraph, pair_list
 from .groups import (
     FiniteGroup,
+    _blocks,
     commutator_map,
     is_nilpotent,
     is_normal,
     prime_order_cosets,
     subgroup_generated,
 )
-# the doubling steps gather on the same row blocks as the commutator map
-from .groups import _BLOCK_ENTRIES as _RELATION_BLOCK_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,8 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
     n = g.order
     c = commutator_map(g)
     reaches = np.empty((n, n), dtype=bool)  # reaches[y, x] = rel[x, y]
-    block = max(1, _RELATION_BLOCK_ENTRIES // n)
-    for lo in range(0, n, block):
-        f = c[lo : lo + block]
+    for rows in _blocks(n, n):  # the commutator map's row blocks
+        f = c[rows]
         done = f == g.identity
         count = np.count_nonzero(done)
         for _ in range((n - 1).bit_length()):
@@ -106,7 +104,7 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
             count, before = np.count_nonzero(done), count
             if count == before:
                 break
-        reaches[lo : lo + block] = done
+        reaches[rows] = done
     reaches.flags.writeable = False
     return reaches.T
 
@@ -144,7 +142,6 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
         raise ValueError(f"L({g.label}) is not normal")
     if not is_nilpotent(g, inside):
         raise ValueError(f"L({g.label}) is not nilpotent")
-    g_nilpotent = None  # is_nilpotent(g), computed once a closure is all of G
     seen = inside.copy()
     prime_coset = prime_order_cosets(g, inside)
     c = commutator_map(g)
@@ -156,13 +153,8 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
         if not prime_coset[x]:
             continue
         closure = subgroup_generated(g, np.concatenate((members, conjugates)))
-        if closure.all():
-            if g_nilpotent is None:
-                g_nilpotent = is_nilpotent(g)
-            nilpotent = g_nilpotent
-        else:
-            nilpotent = is_nilpotent(g, closure)
-        if nilpotent:
+        # N = G reads G's one cached series
+        if is_nilpotent(g, None if closure.all() else closure):
             raise ValueError(
                 f"L({g.label}) is not maximal: the normal closure of "
                 f"<L, {g.element_names[x]}> is nilpotent"

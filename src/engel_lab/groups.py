@@ -256,48 +256,33 @@ def _power_name(base: str, i: int) -> str:
     return "e" if i == 0 else base if i == 1 else f"{base}^{i}"
 
 
-def _rotation_reflection_names(half: int) -> list[str]:
-    """y^0..y^(half-1), then x*y^0..x*y^(half-1)."""
-    names = [_power_name("y", i) for i in range(half)]
-    return names + ["x" if i == 0 else f"x*{_power_name('y', i)}" for i in range(half)]
+def _rotation_reflection(h: int, t: int, label: str) -> FiniteGroup:
+    """<x, y : y^h = 1, x^2 = y^t, x y x^-1 = y^-1> with x^r y^a at index r*h + a."""
+
+    def product(u, v):
+        (r1, a), (r2, b) = np.divmod(u, h), np.divmod(v, h)
+        return (r1 ^ r2) * h + np.where(r2 == 0, a + b, b - a + t * r1) % h
+
+    names = [_power_name("y", i) for i in range(h)]
+    names += ["x" if i == 0 else f"x*{_power_name('y', i)}" for i in range(h)]
+    return _finalize(2 * h, product, names, [("x", h), ("y", 1)], label)
 
 
 def build_dihedral(two_n: int) -> FiniteGroup:
-    """D_2n = <x, y : y^n = x^2 = 1, x y x^-1 = y^-1>.
-
-    Elements are enumerated as y^0..y^(n-1), then x*y^0..x*y^(n-1).
-    """
+    """D_2n = <x, y : y^n = x^2 = 1, x y x^-1 = y^-1>; elements y^0..y^(n-1),
+    then x*y^0..x*y^(n-1)."""
     if two_n < 4 or two_n % 2:
         raise ValueError(f"dihedral order must be even and >= 4, got {two_n}")
-    n = two_n // 2
-
-    def product(u, v):
-        (r1, a), (r2, b) = np.divmod(u, n), np.divmod(v, n)
-        return (r1 ^ r2) * n + np.where(r2 == 0, a + b, b - a) % n
-
-    return _finalize(
-        two_n, product, _rotation_reflection_names(n), [("x", n), ("y", 1)], f"D_{two_n}"
-    )
+    return _rotation_reflection(two_n // 2, 0, f"D_{two_n}")
 
 
 def build_generalized_quaternion(four_n: int) -> FiniteGroup:
-    """Q_4n = <x, y : y^2n = 1, x^2 = y^n, x y x^-1 = y^-1>.
-
-    Elements are y^0..y^(2n-1), then x*y^0..x*y^(2n-1).
-    """
+    """Q_4n = <x, y : y^2n = 1, x^2 = y^n, x y x^-1 = y^-1>; elements
+    y^0..y^(2n-1), then x*y^0..x*y^(2n-1)."""
     if four_n < 8 or four_n % 4:
         raise ValueError(f"generalized quaternion order must be a multiple of 4 and >= 8, "
                          f"got {four_n}")
-    half, quarter = four_n // 2, four_n // 4
-
-    def product(u, v):
-        (r1, a), (r2, b) = np.divmod(u, half), np.divmod(v, half)
-        return (r1 ^ r2) * half + np.where(r2 == 0, a + b, b - a + quarter * r1) % half
-
-    return _finalize(
-        four_n, product, _rotation_reflection_names(half), [("x", half), ("y", 1)],
-        f"Q_{four_n}",
-    )
+    return _rotation_reflection(four_n // 2, four_n // 4, f"Q_{four_n}")
 
 
 def _is_prime(n: int) -> bool:

@@ -98,35 +98,20 @@ class GroupSpec:
 
 
 def _split_product_body(body: str) -> list[str]:
-    """Split '(...)x(...)x(...)' into the parenthesised chunks."""
-    chunks = []
-    depth = 0
-    start = None
-    i = 0
-    while i < len(body):
-        ch = body[i]
+    """The top-level '(...)' chunks of a product body, which must be exactly
+    those chunks joined as ``GroupSpec.canonical`` joins factors."""
+    chunks, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
         if ch == "(":
-            if depth == 0:
-                start = i + 1
             depth += 1
+            if depth == 1:
+                start = i + 1
         elif ch == ")":
             depth -= 1
-            if depth < 0:
-                raise GroupSpecError(f"unbalanced ')' in product spec {body!r}")
             if depth == 0:
                 chunks.append(body[start:i])
-                if i + 1 < len(body) and body[i + 1] != "x":
-                    raise GroupSpecError(
-                        f"expected 'x' between product factors in {body!r}"
-                    )
-                i += 1  # skip the joining 'x' if present
-        elif depth == 0:
-            raise GroupSpecError(f"unexpected character {ch!r} in product spec {body!r}")
-        i += 1
-    if depth != 0:
-        raise GroupSpecError(f"unbalanced '(' in product spec {body!r}")
-    if len(chunks) < 2:
-        raise GroupSpecError(f"product spec needs at least two factors: {body!r}")
+    if body != "x".join(f"({c})" for c in chunks):
+        raise GroupSpecError(f"product spec must read (<spec>)x(<spec>)..., got {body!r}")
     return chunks
 
 
@@ -137,8 +122,6 @@ def parse_group_spec(text: str) -> GroupSpec:
     family, _, body = text.partition(":")
     if family == "P":
         return GroupSpec("P", (), tuple(parse_group_spec(c) for c in _split_product_body(body)))
-    if family not in _BUILDERS:
-        raise GroupSpecError(f"unknown family {family!r} in spec {text!r}")
     try:
         params = tuple(int(p) for p in body.split(":"))
     except ValueError:

@@ -113,7 +113,7 @@ def _assert_relation_matches_verdicts(spec):
             assert bool(rel[x, y]) == el.engel_verdict(g, x, y).terminates, (spec, x, y)
     # the same matrix when the rows are computed three at a time
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engel, "_RELATION_BLOCK_ENTRIES", 3 * g.order)
+        mp.setattr(el.groups, "_BLOCK_ENTRIES", 3 * g.order)
         assert np.array_equal(engel_relation.__wrapped__(g), rel)
 
 
@@ -141,7 +141,7 @@ def test_engel_relation_matches_the_fixed_round_doubling(spec):
     want = oracles.engel_relation_fixed_rounds(g)
     assert np.array_equal(engel_relation(g), want)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engel, "_RELATION_BLOCK_ENTRIES", 3 * g.order)
+        mp.setattr(el.groups, "_BLOCK_ENTRIES", 3 * g.order)
         assert np.array_equal(engel_relation.__wrapped__(g), want)
 
 

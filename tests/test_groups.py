@@ -512,7 +512,10 @@ def _model(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    ["C:12", "Q:24", "S:4", "S:5", "A:4", "A:5", "F:3:13:9", "F:5:11:4", "P:(S:3)x(Q:8)"],
+    [
+        "C:12", "D:4", "D:12", "D:30", "Q:8", "Q:24", "S:4", "S:5", "A:4", "A:5",
+        "F:3:13:9", "F:5:11:4", "P:(S:3)x(Q:8)",
+    ],
 )
 def test_builder_matches_model_group(spec):
     g = el.build_group(spec)

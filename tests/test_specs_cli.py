@@ -45,7 +45,11 @@ def test_spec_round_trip(text):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "D", "D:", "D:abc", "X:4", "P:(C:3)", "P:(C:3)y(D:6)", "P:(C:3", "F:3", "D:2:4"],
+    [
+        "", "D", "D:", "D:abc", "X:4", "P:(C:3)", "P:(C:3)y(D:6)", "P:(C:3", "F:3", "D:2:4",
+        # a product body must be exactly its factors joined by 'x'
+        "P:(C:3)x(D:6)x", "P:(C:3)(D:6)", "P:x(C:3)x(D:6)",
+    ],
 )
 def test_spec_rejects_malformed(bad):
     with pytest.raises(GroupSpecError):
@@ -192,13 +196,15 @@ def test_cli_graph_json_bytes_are_pinned(capsys):
     assert _run_cli(["graph", "C:1", "--directed"], capsys) == (0, want, "")
 
 
-@pytest.mark.parametrize("spec", ["D:6", "S:4", "S:5", "F:3:37"])
+@pytest.mark.parametrize("spec", ["D:6", "S:4", "S:5", "F:3:37", "C:5", "A:6"])
 def test_cli_analyze_bytes_are_pinned(spec, capsys):
     # D:6 is recognised (K_3), S:4 takes the null-shape branch; both run the
     # clique search, spectra and Zagreb, whose Python ints and bools reach
     # json.dumps (which raises on numpy scalars).  S:5 (119 vertices in 72
     # twin classes) has polynomials that do not split; F:3:37 (K_{37x2}, 74
-    # vertices) is past the clique limit and has the ladder's largest matrix
+    # vertices) is past the clique limit and has the ladder's largest matrix.
+    # C:5 is an Engel group (the reduced-graph skip) and A:6 (359 vertices)
+    # is past both the clique and the spectrum limits
     want = (DATA / f"analyze_{spec.replace(':', '')}.json").read_text()
     assert _run_cli(["analyze", spec], capsys) == (0, want, "")
 
