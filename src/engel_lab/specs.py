@@ -98,8 +98,8 @@ class GroupSpec:
 
 
 def _split_product_body(body: str) -> list[str]:
-    """The top-level '(...)' chunks of a product body, which must be exactly
-    those chunks joined as ``GroupSpec.canonical`` joins factors."""
+    """The top-level '(...)' chunks of a product body; ``parse_group_spec``
+    refuses a body that is not those chunks joined by 'x'."""
     chunks, depth, start = [], 0, 0
     for i, ch in enumerate(body):
         if ch == "(":
@@ -110,23 +110,27 @@ def _split_product_body(body: str) -> list[str]:
             depth -= 1
             if depth == 0:
                 chunks.append(body[start:i])
-    if body != "x".join(f"({c})" for c in chunks):
-        raise GroupSpecError(f"product spec must read (<spec>)x(<spec>)..., got {body!r}")
     return chunks
 
 
 def parse_group_spec(text: str) -> GroupSpec:
+    """The spec that ``text`` names; apart from surrounding whitespace, the
+    text must be exactly the spec's canonical form."""
     text = text.strip()
     if not text or ":" not in text:
         raise GroupSpecError(f"malformed group spec {text!r}")
     family, _, body = text.partition(":")
     if family == "P":
-        return GroupSpec("P", (), tuple(parse_group_spec(c) for c in _split_product_body(body)))
-    try:
-        params = tuple(int(p) for p in body.split(":"))
-    except ValueError:
-        raise GroupSpecError(f"non-integer parameter in spec {text!r}") from None
-    return GroupSpec(family, params)
+        spec = GroupSpec("P", (), tuple(map(parse_group_spec, _split_product_body(body))))
+    else:
+        try:
+            params = tuple(int(p) for p in body.split(":"))
+        except ValueError:
+            raise GroupSpecError(f"non-integer parameter in spec {text!r}") from None
+        spec = GroupSpec(family, params)
+    if spec.canonical() != text:
+        raise GroupSpecError(f"group spec {text!r} is not in canonical form {spec.canonical()!r}")
+    return spec
 
 
 @lru_cache(maxsize=256)

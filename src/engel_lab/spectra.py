@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -384,6 +385,11 @@ def integer_roots(poly: IntPolynomial, root_bound: int) -> Optional[IntegerSpect
 # spectrum reports
 
 
+def fraction_text(x: Optional[Fraction]) -> Optional[str]:
+    """An exact rational (or int) as "numerator/denominator"; None stays None."""
+    return None if x is None else f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
     """Adjacency / Laplacian / signless-Laplacian polynomials and spectra,
@@ -407,16 +413,13 @@ class SpectrumReport:
     e_le_holds: Optional[bool]
 
     def to_json_obj(self) -> dict:
-        def frac(x: Optional[Fraction]):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
-
         def spec(s: Optional[IntegerSpectrum]):
             return None if s is None else s.to_json_obj()
 
         return {
             "n": self.n_vertices,
             "edges": self.n_edges,
-            "mean_degree": frac(self.mean_degree),
+            "mean_degree": fraction_text(self.mean_degree),
             "adjacency": {
                 "poly": self.adjacency_poly.to_decimal_strings(),
                 "spectrum": spec(self.adjacency_spectrum),
@@ -433,9 +436,9 @@ class SpectrumReport:
             "energies": None
             if self.energy is None
             else {
-                "E": frac(self.energy),
-                "LE": frac(self.laplacian_energy),
-                "LE+": frac(self.signless_energy),
+                "E": fraction_text(self.energy),
+                "LE": fraction_text(self.laplacian_energy),
+                "LE+": fraction_text(self.signless_energy),
             },
             "flags": None
             if self.energy is None
@@ -505,10 +508,12 @@ def spectrum_report(g: SimpleGraph) -> SpectrumReport:
     return _assemble_report(n, g.n_edges(), polys, spectra)
 
 
+@lru_cache(maxsize=128)
 def closed_form_spectra(shape: MultipartiteShape) -> SpectrumReport:
     """Spectrum report for K_{a.b} assembled from the closed-form spectra
     (no matrix work); K_n is the b = 1 case.  Raises for non-uniform shapes,
-    which have no closed form here."""
+    which have no closed form here.  Cached per shape: `verify-paper` asks
+    for each shape's report on both sides of its energy claims."""
     if not shape.is_uniform:
         raise ValueError(f"no closed-form spectra for non-uniform shape {shape.parts}")
     a, b = shape.a, shape.parts[0]

@@ -19,6 +19,7 @@ from . import engel
 from .analysis import MultipartiteShape, recognize_complete_multipartite
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
+from .spectra import fraction_text
 
 CLASS_PLANAR = "planar"
 CLASS_TOROIDAL = "toroidal"
@@ -87,9 +88,7 @@ def genus_uniform_multipartite(a: int, b: int) -> int:
         raise ValueError(f"part size must be positive, got {b}")
     if b == 1:
         return genus_complete(a)
-    return (a * (a - 1) // 2) * _ceil_div((b - 2) ** 2, 4) + _ceil_div(
-        (a - 3) * (a - 4), 12
-    )
+    return (a * (a - 1) // 2) * _ceil_div((b - 2) ** 2, 4) + genus_complete(a)
 
 
 def classification_from_genus(genus: int) -> str:
@@ -113,13 +112,16 @@ class SurfaceClass:
 
     ``crosscap`` is present only where a published formula applies (K_n and
     K_{m,n}); ``projective`` is decided only when decidable and is otherwise
-    None, never guessed.
+    None, never guessed.  The classification follows from the genus alone.
     """
 
     genus: Optional[int]
     crosscap: Optional[int]
-    classification: str
     projective: Optional[bool]
+
+    @property
+    def classification(self) -> str:
+        return CLASS_UNKNOWN if self.genus is None else classification_from_genus(self.genus)
 
 
 def _not_projective_by_biclique(parts: tuple[int, ...]) -> bool:
@@ -129,7 +131,7 @@ def _not_projective_by_biclique(parts: tuple[int, ...]) -> bool:
     for split in range(1, 1 << (k - 1)):
         left = sum(parts[i] for i in range(k) if split >> i & 1)
         right = sum(parts) - left
-        if left >= 3 and right >= 3 and _ceil_div((left - 2) * (right - 2), 2) >= 2:
+        if left >= 3 and right >= 3 and crosscap_complete_bipartite(left, right) >= 2:
             return True
     return False
 
@@ -139,45 +141,30 @@ def _surface_from_shape(shape: MultipartiteShape) -> SurfaceClass:
     # complete graph: every part a single vertex
     if parts[0] == 1:
         n = shape.a
-        genus = genus_complete(n)
         crosscap = crosscap_complete(n) if n >= 3 else None
-        return SurfaceClass(
-            genus=genus,
-            crosscap=crosscap,
-            classification=classification_from_genus(genus),
-            projective=None if crosscap is None else crosscap == 1,
-        )
+        projective = None if crosscap is None else crosscap == 1
+        return SurfaceClass(genus_complete(n), crosscap, projective)
     if shape.a == 2:
         m, n = parts
         if n < 2:
-            return SurfaceClass(0, None, CLASS_PLANAR, None)  # star K_{m,1}
-        genus = genus_complete_bipartite(m, n)
+            return SurfaceClass(0, None, None)  # star K_{m,1}
         crosscap = crosscap_complete_bipartite(m, n)
-        return SurfaceClass(
-            genus, crosscap, classification_from_genus(genus), crosscap == 1
-        )
-    if shape.a == 3 and parts[1] == parts[2] and parts[0] % parts[1] == 0:
+        return SurfaceClass(genus_complete_bipartite(m, n), crosscap, crosscap == 1)
+    k_mnn = shape.a == 3 and parts[1] == parts[2] and parts[0] % parts[1] == 0
+    if not (k_mnn or shape.is_uniform):
+        return SurfaceClass(None, None, None)
+    projective = False if _not_projective_by_biclique(parts) else None
+    if k_mnn:
         # tripartite K_{mn,n,n}: the paper evaluates these by the White
         # formula (e.g. K_{3,3,3} is toroidal), which takes precedence over
         # the uniform K_{a.b} expression
-        genus = genus_K_mnn(parts[0] // parts[1], parts[1])
-        projective: Optional[bool] = None
         if parts == (2, 2, 2):
             projective = True  # octahedron, projective per the classification
-        elif _not_projective_by_biclique(parts):
-            projective = False
-        return SurfaceClass(genus, None, classification_from_genus(genus), projective)
-    if shape.is_uniform:
-        a, b = shape.a, shape.parts[0]
-        if (a, b) == (4, 2):
-            # cocktail-party K_{4.2}: the uniform formula breaks down here
-            # (the graph is toroidal; it is the reduced co-Engel graph of A_4)
-            projective = False if _not_projective_by_biclique(parts) else None
-            return SurfaceClass(1, None, CLASS_TOROIDAL, projective)
-        genus = genus_uniform_multipartite(a, b)
-        projective = False if _not_projective_by_biclique(parts) else None
-        return SurfaceClass(genus, None, classification_from_genus(genus), projective)
-    return SurfaceClass(None, None, CLASS_UNKNOWN, None)
+        return SurfaceClass(genus_K_mnn(parts[0] // parts[1], parts[1]), None, projective)
+    # cocktail-party K_{4.2}: the uniform formula breaks down here (the graph
+    # is toroidal; it is the reduced co-Engel graph of A_4)
+    genus = 1 if parts == (2, 2, 2, 2) else genus_uniform_multipartite(shape.a, shape.b)
+    return SurfaceClass(genus, None, projective)
 
 
 def surface_class_of_reduced(g: FiniteGroup) -> SurfaceClass:
@@ -186,7 +173,7 @@ def surface_class_of_reduced(g: FiniteGroup) -> SurfaceClass:
     graph = engel.reduced_co_engel_graph(g)
     shape = recognize_complete_multipartite(graph)
     if shape is None:
-        return SurfaceClass(None, None, CLASS_UNKNOWN, None)
+        return SurfaceClass(None, None, None)
     return _surface_from_shape(shape)
 
 
@@ -207,16 +194,13 @@ class ZagrebReport:
     hv_holds: Optional[bool]
 
     def to_json_obj(self) -> dict:
-        def frac(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
-
         return {
             "M1": self.m1,
             "M2": self.m2,
             "vertices": self.v_count,
             "edges": self.e_count,
-            "hv_lhs": frac(self.hv_lhs),
-            "hv_rhs": frac(self.hv_rhs),
+            "hv_lhs": fraction_text(self.hv_lhs),
+            "hv_rhs": fraction_text(self.hv_rhs),
             "hv_holds": self.hv_holds,
         }
 

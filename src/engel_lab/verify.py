@@ -19,7 +19,9 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from . import engel, topology
-from .analysis import clique_number, recognize_complete_multipartite, is_planar, verify_biclique
+from .analysis import (
+    MultipartiteShape, clique_number, is_planar, recognize_complete_multipartite, verify_biclique
+)
 from .groups import (
     FiniteGroup,
     commutator_map,
@@ -28,7 +30,7 @@ from .groups import (
     is_soluble,
     subgroup_generated,
 )
-from .spectra import closed_form_spectra, spectrum_report
+from .spectra import SpectrumReport, closed_form_spectra, fraction_text, spectrum_report
 from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
 
 SWEEP_TM = tuple((t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9))
@@ -90,15 +92,6 @@ def _claim(
     )
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 # ---------------------------------------------------------------------------
 # the realised families and their expected sides, as functions of (a, b)
 
@@ -138,44 +131,37 @@ _CLASSES = {
 _LEFT_ENGEL = {"dq": ("y", lambda a, b: a * b), "fpq": ("b", lambda a, b: a)}
 
 
-def _genus_expected(a: int, b: int) -> int:
-    """gamma(K_{a.b}) = a(a-1)/2 ceil((b-2)^2/4) + ceil((a-3)(a-4)/12); b = 1
-    is K_a, which keeps only the second term."""
-    k_a = _ceil_div((a - 3) * (a - 4), 12)
-    return k_a if b == 1 else a * (a - 1) // 2 * _ceil_div((b - 2) ** 2, 4) + k_a
-
-
-def _energy_expected(a: int, b: int) -> dict:
-    """The three spectra of K_{a.b} (degree d = b(a-1)) as sorted
-    [value, multiplicity] rows, and E = LE = LE+ = 2d."""
-    d = b * (a - 1)
-
-    def spectrum(rows):
-        return sorted([v, k] for v, k in rows if k)
-
+def _zagreb_expected(a: int, b: int) -> dict:
+    """The closed-form M1 and M2 of K_{a.b}, with M2/e = M1/v."""
+    m1, m2 = topology.zagreb_closed_form(a, b)
     return {
-        "spectrum": spectrum([(0, a * (b - 1)), (-b, a - 1), (d, 1)]),
-        "laplacian_spectrum": spectrum([(0, 1), (d, a * (b - 1)), (a * b, a - 1)]),
-        "signless_spectrum": spectrum([(d, a * (b - 1)), (b * (a - 2), a - 1), (2 * d, 1)]),
-        "E": f"{2 * d}/1",
-        "LE": f"{2 * d}/1",
-        "LE+": f"{2 * d}/1",
-        "super_integral": True,
-        "hyperenergetic": False,
-        "hypoenergetic": False,
-        "e_le_holds": True,
-        "polys_match_closed_form": True,
+        "M1": m1,
+        "M2": m2,
+        "ratios_equal": True,
+        "ratio": fraction_text(Fraction(m1, a * b)),
+        "hv_holds": True,
     }
 
 
-def _zagreb_expected(a: int, b: int) -> dict:
-    """M1 = a(a-1)^2 b^3, M2 = a(a-1)^3 b^4 / 2, and M2/e = M1/v = (b(a-1))^2."""
+def _energy_record(rep: SpectrumReport, closed: SpectrumReport) -> dict:
+    """The spectra, energies and flags of ``rep``, and whether its three
+    polynomials are those of the closed-form report ``closed``."""
+    spectra = {
+        "spectrum": rep.adjacency_spectrum,
+        "laplacian_spectrum": rep.laplacian_spectrum,
+        "signless_spectrum": rep.signless_spectrum,
+    }
+    energies = {"E": rep.energy, "LE": rep.laplacian_energy, "LE+": rep.signless_energy}
     return {
-        "M1": a * (a - 1) ** 2 * b**3,
-        "M2": a * (a - 1) ** 3 * b**4 // 2,
-        "ratios_equal": True,
-        "ratio": f"{(b * (a - 1)) ** 2}/1",
-        "hv_holds": True,
+        **{k: s.to_json_obj() if s else None for k, s in spectra.items()},
+        **{k: fraction_text(e) for k, e in energies.items()},
+        "super_integral": rep.super_integral,
+        "hyperenergetic": rep.hyperenergetic,
+        "hypoenergetic": rep.hypoenergetic,
+        "e_le_holds": rep.e_le_holds,
+        "polys_match_closed_form": rep.adjacency_poly == closed.adjacency_poly
+        and rep.laplacian_poly == closed.laplacian_poly
+        and rep.signless_poly == closed.signless_poly,
     }
 
 
@@ -208,25 +194,8 @@ def _measure_class(g: FiniteGroup) -> dict:
 
 def _measure_energy(g: FiniteGroup) -> dict:
     graph = engel.reduced_co_engel_graph(g)
-    rep = spectrum_report(graph)
-    cf = closed_form_spectra(recognize_complete_multipartite(graph))
-    spectra = {
-        "spectrum": rep.adjacency_spectrum,
-        "laplacian_spectrum": rep.laplacian_spectrum,
-        "signless_spectrum": rep.signless_spectrum,
-    }
-    energies = {"E": rep.energy, "LE": rep.laplacian_energy, "LE+": rep.signless_energy}
-    return {
-        **{k: s.to_json_obj() if s else None for k, s in spectra.items()},
-        **{k: None if e is None else _frac_str(e) for k, e in energies.items()},
-        "super_integral": rep.super_integral,
-        "hyperenergetic": rep.hyperenergetic,
-        "hypoenergetic": rep.hypoenergetic,
-        "e_le_holds": rep.e_le_holds,
-        "polys_match_closed_form": rep.adjacency_poly == cf.adjacency_poly
-        and rep.laplacian_poly == cf.laplacian_poly
-        and rep.signless_poly == cf.signless_poly,
-    }
+    closed = closed_form_spectra(recognize_complete_multipartite(graph))
+    return _energy_record(spectrum_report(graph), closed)
 
 
 def _measure_zagreb(g: FiniteGroup) -> dict:
@@ -235,7 +204,7 @@ def _measure_zagreb(g: FiniteGroup) -> dict:
         "M1": zr.m1,
         "M2": zr.m2,
         "ratios_equal": zr.hv_lhs == zr.hv_rhs,
-        "ratio": _frac_str(zr.hv_lhs),
+        "ratio": fraction_text(zr.hv_lhs),
         "hv_holds": zr.hv_holds,
     }
 
@@ -357,8 +326,10 @@ def _claims_realised() -> Iterator[Claim]:
         if family == "dq" and spec.startswith("D:"):
             q_spec = "Q" + spec[1:]
             yield _claim(shape_id, spec, {"isomorphic": True}, _measure_isomorphic, q_spec)
-        yield _claim(genus_id, spec, {"genus": _genus_expected(a, b)}, _measure_genus)
-        yield _claim(energy_id, spec, _energy_expected(a, b), _measure_energy)
+        genus = topology.genus_uniform_multipartite(a, b)
+        yield _claim(genus_id, spec, {"genus": genus}, _measure_genus)
+        closed = closed_form_spectra(MultipartiteShape.uniform(a, b))
+        yield _claim(energy_id, spec, _energy_record(closed, closed), _measure_energy)
         if zagreb_id:
             yield _claim(zagreb_id, spec, _zagreb_expected(a, b), _measure_zagreb)
         if family in _LEFT_ENGEL:
@@ -471,18 +442,11 @@ def run_paper_verification(
         if family_filter is not None and spec.family_name not in family_filter:
             continue
         if max_order is not None and spec.order() > max_order:
-            records.append(
-                VerificationRecord(
-                    claim.claim_id,
-                    claim.group,
-                    claim.expected,
-                    {"skipped": f"order {spec.order()} exceeds --max-order {max_order}"},
-                    "skipped",
-                )
-            )
-            continue
-        computed = claim.compute()
-        status = "pass" if computed == claim.expected else "fail"
+            computed = {"skipped": f"order {spec.order()} exceeds --max-order {max_order}"}
+            status = "skipped"
+        else:
+            computed = claim.compute()
+            status = "pass" if computed == claim.expected else "fail"
         records.append(
             VerificationRecord(claim.claim_id, claim.group, claim.expected, computed, status)
         )

@@ -49,6 +49,8 @@ def test_spec_round_trip(text):
         "", "D", "D:", "D:abc", "X:4", "P:(C:3)", "P:(C:3)y(D:6)", "P:(C:3", "F:3", "D:2:4",
         # a product body must be exactly its factors joined by 'x'
         "P:(C:3)x(D:6)x", "P:(C:3)(D:6)", "P:x(C:3)x(D:6)",
+        # int() would read these, but none is the canonical text of its spec
+        "D:1_2", "C:+5", "D:012", "D: 6", "C:\u0661\u0662", "P:( C:3)x(D:6)",
     ],
 )
 def test_spec_rejects_malformed(bad):
@@ -130,7 +132,11 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def test_verification_genus_expected_sides_match_the_theorems():
+def _spectrum_rows(rows):
+    return sorted([v, k] for v, k in rows if k)
+
+
+def test_verification_closed_form_expected_sides_match_the_theorems():
     sweep_tm = [(t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9)]
     sweep_pq = ((2, 3), (2, 5), (2, 7), (3, 7), (3, 13), (5, 11))
     want = {}
@@ -166,8 +172,40 @@ def test_verification_genus_expected_sides_match_the_theorems():
     for spec in ("A:4", "P:(C:3)x(D:6)"):
         want["genus-class-gen", spec] = {"classification": "toroidal", "clique_at_most_4": True}
 
+    # K_{a.b} of the realised families: the three spectra with d = b(a-1),
+    # E = LE = LE+ = 2d, M1 = a(a-1)^2 b^3, M2 = a(a-1)^3 b^4 / 2 and
+    # M2/e = M1/v = d^2
+    realised = [("dq", f"{fam}:{2 ** (t + 1) * m}", m, 2**t)
+                for t, m in sweep_tm for fam in ("D", "Q")]
+    realised += [("d2m", f"D:{2 * m}", m, 1) for m in (3, 5, 7, 9)]
+    realised += [("fpq", f"F:{p}:{q}", q, p - 1) for p, q in sweep_pq]
+    for family, spec, a, b in realised:
+        d = b * (a - 1)
+        want[f"energy-{family}", spec] = {
+            "spectrum": _spectrum_rows([(-b, a - 1), (0, a * (b - 1)), (d, 1)]),
+            "laplacian_spectrum": _spectrum_rows([(0, 1), (d, a * (b - 1)), (a * b, a - 1)]),
+            "signless_spectrum": _spectrum_rows(
+                [(b * (a - 2), a - 1), (d, a * (b - 1)), (2 * d, 1)]),
+            "E": f"{2 * d}/1",
+            "LE": f"{2 * d}/1",
+            "LE+": f"{2 * d}/1",
+            "super_integral": True,
+            "hyperenergetic": False,
+            "hypoenergetic": False,
+            "e_le_holds": True,
+            "polys_match_closed_form": True,
+        }
+        if family != "d2m":
+            want[f"zagreb-{family}", spec] = {
+                "M1": a * (a - 1) ** 2 * b**3,
+                "M2": a * (a - 1) ** 3 * b**4 // 2,
+                "ratios_equal": True,
+                "ratio": f"{d * d}/1",
+                "hv_holds": True,
+            }
+
     got = {(r.claim_id, r.group): r.expected for r in run_paper_verification()
-           if r.claim_id.startswith("genus-")}
+           if r.claim_id.startswith(("genus-", "energy-", "zagreb-"))}
     assert got == want
 
 

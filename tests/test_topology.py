@@ -1,12 +1,15 @@
 """Genus-index: closed-form genus/crosscap, surface classes, Zagreb indices."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+from engel_lab.analysis import MultipartiteShape
 from engel_lab.graphs import SimpleGraph, complete_multipartite_graph
 from engel_lab.topology import (
     CLASS_GENUS_5_PLUS,
@@ -14,6 +17,7 @@ from engel_lab.topology import (
     CLASS_TOROIDAL,
     CLASS_TRIPLE,
     CLASS_UNKNOWN,
+    _surface_from_shape,
     classification_from_genus,
 )
 
@@ -226,6 +230,29 @@ def test_projective_classification():
 def test_surface_class_unknown_for_unrecognized():
     sc = el.surface_class_of_reduced(el.build_group("S:4"))
     assert sc.classification == CLASS_UNKNOWN and sc.genus is None
+
+
+def _partitions(n, largest):
+    """The partitions of n into parts of size at most ``largest``, descending."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def test_surface_from_shape_matches_golden_on_every_small_partition():
+    # Every branch: K_n (K_1 and K_2 included), the star K_{m,1}, K_{m,n},
+    # K_{mn,n,n} (uniform or not, the octahedron), K_{4.2}, other uniform
+    # shapes and the unknown rest.  One-part shapes with a part of size >= 2
+    # are edgeless graphs on which the rule raises; no group in scope has one.
+    golden = json.loads((Path(__file__).parent / "data" / "surface_shapes.json").read_text())
+    shapes = [p for n in range(1, 13) for p in _partitions(n, n) if len(p) > 1 or p == (1,)]
+    assert [tuple(row["parts"]) for row in golden] == shapes
+    for row in golden:
+        sc = _surface_from_shape(MultipartiteShape(tuple(row["parts"])))
+        got = [sc.genus, sc.crosscap, sc.classification, sc.projective]
+        assert got == [row[k] for k in ("genus", "crosscap", "classification", "projective")], row
 
 
 def test_planar_implies_genus_zero_on_family_sweep():
