@@ -70,7 +70,7 @@ def recognize_complete_multipartite(g: SimpleGraph) -> Optional[MultipartiteShap
     return MultipartiteShape(tuple(sorted(parts.tolist(), reverse=True)))
 
 
-def clique_number(g: SimpleGraph, max_vertices: int = CLIQUE_VERTEX_LIMIT) -> int:
+def clique_number(g: SimpleGraph) -> int:
     """Exact clique number by branch and bound on bitmask candidate sets.
 
     Vertices are explored in descending-degree order (ties by index) for
@@ -79,9 +79,9 @@ def clique_number(g: SimpleGraph, max_vertices: int = CLIQUE_VERTEX_LIMIT) -> in
     branch once its size plus the vertex's colour cannot beat the best clique
     (Tomita & Seki, DMTCS 2003).
     """
-    if g.n > max_vertices:
+    if g.n > CLIQUE_VERTEX_LIMIT:
         raise ValueError(
-            f"clique search limited to {max_vertices} vertices (graph has {g.n})"
+            f"clique search limited to {CLIQUE_VERTEX_LIMIT} vertices (graph has {g.n})"
         )
     if g.n == 0:
         return 0

@@ -33,24 +33,25 @@ def _skipped(reason: str) -> dict:
     return {"skipped": {"reason": reason}}
 
 
-def _build_or_exit(args) -> Optional[FiniteGroup]:
-    """The group of ``args.spec``, or None after writing the skip document of
-    an order above ``--max-order``, which is read from the spec before any
-    table is built; a bad spec exits as a usage error."""
+def _build_or_exit(args) -> tuple[str, Optional[FiniteGroup]]:
+    """The canonical text of ``args.spec``, which documents echo, and its group;
+    None for the group after writing the skip document of an order above
+    ``--max-order``, read from the spec before any table is built.  A bad
+    spec exits as a usage error."""
     try:
         spec = parse_group_spec(args.spec)
         if args.max_order is None or spec.order() <= args.max_order:
-            return build_group(spec)
+            return spec.canonical(), build_group(spec)
     except GroupSpecError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from exc
     reason = f"order {spec.order()} exceeds --max-order {args.max_order}"
-    sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": args.spec, **_skipped(reason)}))
-    return None
+    sys.stdout.write(_dump_json({"schema": SCHEMA, "spec": spec.canonical(), **_skipped(reason)}))
+    return spec.canonical(), None
 
 
 def cmd_group(args) -> int:
-    g = _build_or_exit(args)
+    spec, g = _build_or_exit(args)
     if g is None:
         return 0
     lset = engel.left_engel_set(g)
@@ -62,7 +63,7 @@ def cmd_group(args) -> int:
     top = hypercenter(g)  # G is nilpotent iff its hypercenter is all of G
     doc = {
         "schema": SCHEMA,
-        "spec": args.spec,
+        "spec": spec,
         "label": g.label,
         "order": g.order,
         "order_census": [[k, v] for k, v in sorted(g.order_census().items())],
@@ -80,7 +81,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    g = _build_or_exit(args)
+    _, g = _build_or_exit(args)
     if g is None:
         return 0
     try:
@@ -101,10 +102,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _build_or_exit(args)
+    spec, g = _build_or_exit(args)
     if g is None:
         return 0
-    doc = {"schema": SCHEMA, "spec": args.spec, "label": g.label, "order": g.order}
+    doc = {"schema": SCHEMA, "spec": spec, "label": g.label, "order": g.order}
     try:
         graph = engel.reduced_co_engel_graph(g)
     except ValueError as exc:

@@ -508,9 +508,7 @@ def is_normal(g: FiniteGroup, inside: np.ndarray) -> bool:
 # validation
 
 
-def validate_group(
-    g: FiniteGroup, force_exhaustive: bool = False, seed: int = 0
-) -> None:
+def validate_group(g: FiniteGroup, force_exhaustive: bool = False) -> None:
     """Check the group axioms on the table; raises ValueError on violation.
 
     Associativity is exhaustive up to order 200 (O(n^3), vectorised) and
@@ -536,7 +534,7 @@ def validate_group(
         if not np.array_equal(left, right):
             raise ValueError(f"{g.label}: associativity fails")
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         i, j, k = np.array(
             [[rng.randrange(n) for _ in range(3)] for _ in range(ASSOCIATIVITY_SAMPLES)]
         ).T

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -392,109 +392,90 @@ def fraction_text(x: Optional[Fraction]) -> Optional[str]:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Adjacency / Laplacian / signless-Laplacian polynomials and spectra,
-    with exact-rational energies when all three spectra are integral."""
+    """Adjacency / Laplacian / signless-Laplacian polynomials and spectra as
+    measured; the mean degree, exact-rational energies and flags are cached
+    properties derived from them (energies and flags None unless all three
+    spectra are integral)."""
 
     n_vertices: int
     n_edges: int
-    mean_degree: Fraction
     adjacency_poly: IntPolynomial
     laplacian_poly: IntPolynomial
     signless_poly: IntPolynomial
     adjacency_spectrum: Optional[IntegerSpectrum]
     laplacian_spectrum: Optional[IntegerSpectrum]
     signless_spectrum: Optional[IntegerSpectrum]
-    super_integral: bool
-    energy: Optional[Fraction]
-    laplacian_energy: Optional[Fraction]
-    signless_energy: Optional[Fraction]
-    hyperenergetic: Optional[bool]
-    hypoenergetic: Optional[bool]
-    e_le_holds: Optional[bool]
+
+    @cached_property
+    def mean_degree(self) -> Fraction:
+        return Fraction(2 * self.n_edges, self.n_vertices)
+
+    @cached_property
+    def super_integral(self) -> bool:
+        spectra = (self.adjacency_spectrum, self.laplacian_spectrum, self.signless_spectrum)
+        return all(s is not None for s in spectra)
+
+    def _spread(self, spectrum: Optional[IntegerSpectrum], centre: Fraction) -> Optional[Fraction]:
+        """Σ |λ - centre| over ``spectrum`` with multiplicity, or None unless
+        all three spectra are integral."""
+        if not self.super_integral:
+            return None
+        return sum((abs(v - centre) * m for v, m in spectrum.roots), Fraction(0))
+
+    @cached_property
+    def energy(self) -> Optional[Fraction]:
+        return self._spread(self.adjacency_spectrum, Fraction(0))
+
+    @cached_property
+    def laplacian_energy(self) -> Optional[Fraction]:
+        return self._spread(self.laplacian_spectrum, self.mean_degree)
+
+    @cached_property
+    def signless_energy(self) -> Optional[Fraction]:
+        return self._spread(self.signless_spectrum, self.mean_degree)
+
+    @cached_property
+    def hyperenergetic(self) -> Optional[bool]:
+        return None if self.energy is None else self.energy > 2 * (self.n_vertices - 1)
+
+    @cached_property
+    def hypoenergetic(self) -> Optional[bool]:
+        return None if self.energy is None else self.energy < self.n_vertices
+
+    @cached_property
+    def e_le_holds(self) -> Optional[bool]:
+        return None if self.energy is None else self.energy <= self.laplacian_energy
 
     def to_json_obj(self) -> dict:
-        def spec(s: Optional[IntegerSpectrum]):
-            return None if s is None else s.to_json_obj()
+        def block(poly: IntPolynomial, spectrum: Optional[IntegerSpectrum]) -> dict:
+            roots = None if spectrum is None else spectrum.to_json_obj()
+            return {"poly": poly.to_decimal_strings(), "spectrum": roots}
 
+        energies = {"E": self.energy, "LE": self.laplacian_energy, "LE+": self.signless_energy}
+        flags = {
+            "hyperenergetic": self.hyperenergetic,
+            "hypoenergetic": self.hypoenergetic,
+            "E_LE_holds": self.e_le_holds,
+        }
+        integral = self.super_integral
         return {
             "n": self.n_vertices,
             "edges": self.n_edges,
             "mean_degree": fraction_text(self.mean_degree),
-            "adjacency": {
-                "poly": self.adjacency_poly.to_decimal_strings(),
-                "spectrum": spec(self.adjacency_spectrum),
-            },
-            "laplacian": {
-                "poly": self.laplacian_poly.to_decimal_strings(),
-                "spectrum": spec(self.laplacian_spectrum),
-            },
-            "signless_laplacian": {
-                "poly": self.signless_poly.to_decimal_strings(),
-                "spectrum": spec(self.signless_spectrum),
-            },
-            "super_integral": self.super_integral,
-            "energies": None
-            if self.energy is None
-            else {
-                "E": fraction_text(self.energy),
-                "LE": fraction_text(self.laplacian_energy),
-                "LE+": fraction_text(self.signless_energy),
-            },
-            "flags": None
-            if self.energy is None
-            else {
-                "hyperenergetic": self.hyperenergetic,
-                "hypoenergetic": self.hypoenergetic,
-                "E_LE_holds": self.e_le_holds,
-            },
+            "adjacency": block(self.adjacency_poly, self.adjacency_spectrum),
+            "laplacian": block(self.laplacian_poly, self.laplacian_spectrum),
+            "signless_laplacian": block(self.signless_poly, self.signless_spectrum),
+            "super_integral": integral,
+            "energies": {k: fraction_text(e) for k, e in energies.items()} if integral else None,
+            "flags": flags if integral else None,
         }
-
-
-def _assemble_report(
-    n: int,
-    e: int,
-    polys: tuple[IntPolynomial, IntPolynomial, IntPolynomial],
-    spectra: tuple[
-        Optional[IntegerSpectrum], Optional[IntegerSpectrum], Optional[IntegerSpectrum]
-    ],
-) -> SpectrumReport:
-    mean = Fraction(2 * e, n)
-    adj, lap, sig = spectra
-    super_integral = adj is not None and lap is not None and sig is not None
-    if super_integral:
-        energy = Fraction(sum(abs(v) * m for v, m in adj.roots))
-        lap_energy = sum((abs(Fraction(v) - mean) * m for v, m in lap.roots), Fraction(0))
-        sig_energy = sum((abs(Fraction(v) - mean) * m for v, m in sig.roots), Fraction(0))
-        hyper = energy > 2 * (n - 1)
-        hypo = energy < n
-        e_le = energy <= lap_energy
-    else:
-        energy = lap_energy = sig_energy = None
-        hyper = hypo = e_le = None
-    return SpectrumReport(
-        n_vertices=n,
-        n_edges=e,
-        mean_degree=mean,
-        adjacency_poly=polys[0],
-        laplacian_poly=polys[1],
-        signless_poly=polys[2],
-        adjacency_spectrum=adj,
-        laplacian_spectrum=lap,
-        signless_spectrum=sig,
-        super_integral=super_integral,
-        energy=energy,
-        laplacian_energy=lap_energy,
-        signless_energy=sig_energy,
-        hyperenergetic=hyper,
-        hypoenergetic=hypo,
-        e_le_holds=e_le,
-    )
 
 
 def spectrum_report(g: SimpleGraph) -> SpectrumReport:
     """Compute A, L = D - A, Q = D + A, their exact polynomials and integer
-    spectra, and the exact energies (refused when any spectrum is not
-    integral: energy of irrational spectra is out of scope)."""
+    spectra; the report derives the exact energies from the spectra (None
+    when any spectrum is not integral: energy of irrational spectra is out
+    of scope)."""
     n = g.n
     if n < 1:
         raise ValueError("spectrum report needs at least one vertex")
@@ -504,8 +485,8 @@ def spectrum_report(g: SimpleGraph) -> SpectrumReport:
     polys = tuple(char_poly_exact(m) for m in matrices)
     max_deg = int(deg.max())
     bounds = (max(1, max_deg), max(1, 2 * max_deg), max(1, 2 * max_deg))
-    spectra = tuple(integer_roots(p, b) for p, b in zip(polys, bounds))
-    return _assemble_report(n, g.n_edges(), polys, spectra)
+    spectra = (integer_roots(p, b) for p, b in zip(polys, bounds))
+    return SpectrumReport(n, g.n_edges(), *polys, *spectra)
 
 
 @lru_cache(maxsize=128)
@@ -526,5 +507,4 @@ def closed_form_spectra(shape: MultipartiteShape) -> SpectrumReport:
     sig = merged(
         [(b * (a - 1), a * (b - 1)), (b * (a - 2), a - 1), (2 * b * (a - 1), 1)]
     )
-    polys = (adj.to_poly(), lap.to_poly(), sig.to_poly())
-    return _assemble_report(n, e, polys, (adj, lap, sig))
+    return SpectrumReport(n, e, adj.to_poly(), lap.to_poly(), sig.to_poly(), adj, lap, sig)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -183,15 +184,26 @@ def surface_class_of_reduced(g: FiniteGroup) -> SurfaceClass:
 
 @dataclass(frozen=True)
 class ZagrebReport:
-    """First/second Zagreb indices and the Hansen-Vukicevic comparison."""
+    """First/second Zagreb indices of a graph with ``v_count`` vertices and
+    ``e_count`` edges; the exact-rational Hansen-Vukicevic comparison
+    M2/e >= M1/v is derived from them (None on edgeless graphs)."""
 
     m1: int
     m2: int
     v_count: int
     e_count: int
-    hv_lhs: Optional[Fraction]  # M2 / e
-    hv_rhs: Optional[Fraction]  # M1 / v
-    hv_holds: Optional[bool]
+
+    @cached_property
+    def hv_lhs(self) -> Optional[Fraction]:
+        return Fraction(self.m2, self.e_count) if self.e_count else None
+
+    @cached_property
+    def hv_rhs(self) -> Optional[Fraction]:
+        return Fraction(self.m1, self.v_count) if self.e_count else None
+
+    @cached_property
+    def hv_holds(self) -> Optional[bool]:
+        return self.hv_lhs >= self.hv_rhs if self.e_count else None
 
     def to_json_obj(self) -> dict:
         return {
@@ -206,8 +218,7 @@ class ZagrebReport:
 
 
 def zagreb_report(g: SimpleGraph) -> ZagrebReport:
-    """M1 = sum deg^2, M2 = sum over edges of deg*deg, and the exact-rational
-    Hansen-Vukicevic comparison M2/e >= M1/v (absent on edgeless graphs)."""
+    """M1 = sum deg^2 and M2 = sum over edges of deg*deg."""
     if g.n < 1:
         raise ValueError("Zagreb report needs at least one vertex")
     # exact in int64 since (n-1)^2 * edges < n^4 / 2 < 2^63 for any n < 2^16
@@ -215,11 +226,7 @@ def zagreb_report(g: SimpleGraph) -> ZagrebReport:
     m1 = int((deg * deg).sum())
     i, j = g.pair_arrays()
     m2 = int((deg[i] * deg[j]).sum())
-    e = len(i)
-    if e:
-        lhs, rhs = Fraction(m2, e), Fraction(m1, g.n)
-        return ZagrebReport(m1, m2, g.n, e, lhs, rhs, lhs >= rhs)
-    return ZagrebReport(m1, m2, g.n, 0, None, None, None)
+    return ZagrebReport(m1, m2, g.n, len(i))
 
 
 def zagreb_closed_form(a: int, b: int) -> tuple[int, int]:

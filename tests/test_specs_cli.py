@@ -1,5 +1,6 @@
 """Group specs and the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -246,7 +247,7 @@ def test_cli_graph_json_bytes_are_pinned(capsys):
     assert _run_cli(["graph", "C:1", "--directed"], capsys) == (0, want, "")
 
 
-@pytest.mark.parametrize("spec", ["D:6", "S:4", "S:5", "F:3:37", "C:5", "A:6"])
+@pytest.mark.parametrize("spec", ["D:6", " D:6 ", "S:4", "S:5", "F:3:37", "C:5", "A:6"])
 def test_cli_analyze_bytes_are_pinned(spec, capsys):
     # D:6 is recognised (K_3), S:4 takes the null-shape branch; both run the
     # clique search, spectra and Zagreb, whose Python ints and bools reach
@@ -254,8 +255,9 @@ def test_cli_analyze_bytes_are_pinned(spec, capsys):
     # twin classes) has polynomials that do not split; F:3:37 (K_{37x2}, 74
     # vertices) is past the clique limit and has the ladder's largest matrix.
     # C:5 is an Engel group (the reduced-graph skip) and A:6 (359 vertices)
-    # is past both the clique and the spectrum limits
-    want = (DATA / f"analyze_{spec.replace(':', '')}.json").read_text()
+    # is past both the clique and the spectrum limits.  " D:6 " is accepted
+    # and echoed as its canonical text, so its document is D:6's
+    want = (DATA / f"analyze_{spec.strip().replace(':', '')}.json").read_text()
     assert _run_cli(["analyze", spec], capsys) == (0, want, "")
 
 
@@ -361,6 +363,8 @@ def test_cli_max_order_skip_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["skipped"]["reason"].startswith("order 24 exceeds")
+    _, out, _ = _run_cli(["group", " S:4 ", "--max-order", "20"], capsys)
+    assert json.loads(out)["spec"] == "S:4"
 
 
 def test_cli_max_order_is_decided_before_the_build(monkeypatch, capsys):
@@ -442,6 +446,19 @@ def test_cli_verify_paper_json(capsys):
         capsys,
     )
     assert out == out2  # byte-identical across runs
+
+
+def test_cli_verify_paper_bytes_are_pinned(capsys):
+    # the golden CSV holds one line per record, so a mismatch names the record
+    want = (DATA / "verify_paper.csv").read_text()
+    code, out, _ = _run_cli(["verify-paper"], capsys)
+    assert code == 0
+    assert out.splitlines() == want.splitlines()
+    assert out == want
+    code, out, _ = _run_cli(["verify-paper", "--out", "json"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "73c7da92d898fc9941afaa89ee402398b1e299d866aead3a3c31870ac5687c8b"
 
 
 def test_cli_sweep_single_arcs(capsys):
