@@ -87,7 +87,7 @@ def clique_number(g: SimpleGraph) -> int:
         return 0
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     # adjacency re-indexed to the search order, row i as a bitset of columns
-    packed = np.packbits(g.adj[np.ix_(order, order)], axis=1, bitorder="little")
+    packed = np.packbits(g.adj[order][:, order], axis=1, bitorder="little")
     rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
     best = 0
 
@@ -140,4 +140,4 @@ def verify_biclique(
     lset, rset = set(left), set(right)
     if lset & rset:
         raise ValueError(f"biclique sides overlap: {sorted(lset & rset)}")
-    return bool(g.adj[np.ix_(list(lset), list(rset))].all())
+    return bool(g.adj[list(lset)][:, list(rset)].all())

@@ -7,8 +7,9 @@ it is eventually periodic; a verdict reports either the minimal k with
 
 ``engel_relation`` decides [x,_k y] = 1 for every pair at once by pointer
 doubling on the rows of the group's commutator map ``c[y, a] = [a, y]``
-(``groups.commutator_map``), stopping once a round adds no pair; L(G) and
-the full, reduced and directed graphs are views of that one matrix.
+(``groups.commutator_map``), each squaring one flat take, stopping once a
+round adds no pair; L(G) and the full, reduced and directed graphs are views
+of that one matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .graphs import DirectedGraph, SimpleGraph, pair_list
 from .groups import (
     FiniteGroup,
     _blocks,
+    _hits,
     commutator_map,
     is_nilpotent,
     is_normal,
@@ -70,6 +72,13 @@ def engel_verdict(g: FiniteGroup, x: int, y: int) -> EngelVerdict:
     return EngelVerdict(terminates=False, cycle_length=k - seen[a])
 
 
+def _square_rows(f: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row of ``f`` composed with itself, ``out[r, a] = f[r, f[r, a]]``,
+    as one take from ``f.ravel()``; ``starts[r, 0]`` is where row r begins
+    there (an intp column, so ``f + starts`` cannot wrap in f's dtype)."""
+    return f.ravel().take(f + starts)
+
+
 @lru_cache(maxsize=128)
 def engel_relation(g: FiniteGroup) -> np.ndarray:
     """n x n bool matrix: ``rel[x, y]`` iff [x, _k y] = 1 for some k >= 1.
@@ -94,12 +103,13 @@ def engel_relation(g: FiniteGroup) -> np.ndarray:
     reaches = np.empty((n, n), dtype=bool)  # reaches[y, x] = rel[x, y]
     for rows in _blocks(n, n):  # the commutator map's row blocks
         f = c[rows]
+        starts = np.arange(0, f.size, n)[:, None]
         done = f == g.identity
         count = np.count_nonzero(done)
         for _ in range((n - 1).bit_length()):
             if count == done.size:
                 break
-            f = np.take_along_axis(f, f, axis=1)
+            f = _square_rows(f, starts)
             done = f == g.identity
             count, before = np.count_nonzero(done), count
             if count == before:
@@ -131,25 +141,29 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
     form N for every x outside L whose coset has prime order in G/L, once
     per conjugacy class of G/L (N is the same for all of x^G L), skipping
     N = G when G is not nilpotent.  Raises ValueError naming the least x
-    whose N is nilpotent.
+    whose N is nilpotent.  L = G, normal in G with no element outside it,
+    is decided by G's own cached series alone.
     """
     inside = np.zeros(g.order, dtype=bool)
     inside[list(left_engel_set(g))] = True
     members = np.flatnonzero(inside)
-    if not np.array_equal(subgroup_generated(g, members), inside):
+    whole = len(members) == g.order
+    if not whole and not np.array_equal(subgroup_generated(g, members), inside):
         raise ValueError(f"L({g.label}) is not a subgroup")
-    if not is_normal(g, inside):
+    if not whole and not is_normal(g, inside):
         raise ValueError(f"L({g.label}) is not normal")
-    if not is_nilpotent(g, inside):
+    if not is_nilpotent(g, None if whole else inside):
         raise ValueError(f"L({g.label}) is not nilpotent")
+    if whole:
+        return inside
     seen = inside.copy()
     prime_coset = prime_order_cosets(g, inside)
     c = commutator_map(g)
     for x in range(g.order):
         if seen[x]:
             continue
-        conjugates = np.unique(g.table[x, c[:, x]])  # x^a = x [x, a]
-        seen[g.table[np.ix_(conjugates, members)]] = True
+        conjugates = np.flatnonzero(_hits(g.table, np.array([x]), c[:, x]))  # x^a = x [x, a]
+        seen |= _hits(g.table, conjugates, members)
         if not prime_coset[x]:
             continue
         closure = subgroup_generated(g, np.concatenate((members, conjugates)))
@@ -162,28 +176,32 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
     return inside
 
 
-def _co_engel_matrix(g: FiniteGroup) -> np.ndarray:
-    rel = engel_relation(g)
-    return ~rel & ~rel.T
+def _co_engel(rel: np.ndarray) -> np.ndarray:
+    """Co-Engel adjacency on the vertices of an Engel relation matrix:
+    ~(rel | rel.T), with one n x n temporary."""
+    adj = rel | rel.T
+    return np.logical_not(adj, out=adj)
 
 
 @lru_cache(maxsize=128)
 def co_engel_graph(g: FiniteGroup) -> SimpleGraph:
     """Full co-Engel graph on all of G: x ~ y iff neither Engel sequence
     ([x,_k y] or [y,_k x]) ever reaches the identity."""
-    return SimpleGraph(_co_engel_matrix(g), labels=g.element_names)
+    return SimpleGraph(_co_engel(engel_relation(g)), labels=g.element_names)
 
 
 @lru_cache(maxsize=128)
 def reduced_co_engel_graph(g: FiniteGroup) -> SimpleGraph:
     """Induced subgraph on G \\ L(G), vertices in ascending element order."""
-    kept = non_engel_elements(g)
-    if not kept:
+    kept = np.array(non_engel_elements(g), dtype=np.intp)
+    if not kept.size:
         raise ValueError(
             f"{g.label} is an Engel group: reduced co-Engel graph has an "
             "empty vertex set"
         )
-    adj = _co_engel_matrix(g)[np.ix_(kept, kept)]
+    # the co-Engel relation is symmetric, so it is read off the transpose,
+    # whose rows are contiguous (engel_relation returns a transposed view)
+    adj = _co_engel(engel_relation(g).T[kept][:, kept])
     labels = tuple(g.element_names[e] for e in kept)
     return SimpleGraph(adj, labels=labels)
 

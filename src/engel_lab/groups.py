@@ -14,6 +14,14 @@ every element to the m-th power by repeated squaring, and element orders and
 prime-order cosets come from a few such powers per prime dividing the order.
 Builders are pure and enumerate elements in a documented, bit-reproducible
 order.
+
+Every gather is a 1-D take, never a broadcast fancy index (numpy's slow
+path): a table over a subset is taken rows first, then columns, in row
+blocks, and the set of elements such a block holds is one ``np.bincount``
+(``_hits``; ``np.unique`` would import ``numpy.ma``, about 1 MB); a mask is
+read at an index array with ``mask.take(idx)``; and the products ``t[x, y]``
+of two index arrays are one take from ``t.ravel()`` at x*n + y, formed in
+intp (``_products``), since x*n wraps in a uint8 or uint16 table's dtype.
 """
 
 from __future__ import annotations
@@ -31,15 +39,36 @@ EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 200
 ASSOCIATIVITY_SAMPLES = 10_000
 
 # Gathers through n x n index arrays run over blocks of rows of about this
-# many entries: numpy copies each index array to 64-bit integers, and one
-# n x n pass over S_6 raised the peak memory by about 4 MB more than blocks do.
-_BLOCK_ENTRIES = 1 << 16
+# many entries: a take copies its index array to 64-bit integers (256 KB a
+# block), and one n x n pass over S_6 raised the peak memory by about 4 MB
+# more than blocks do.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _blocks(rows: int, cols: int) -> Iterator[slice]:
     """Slices of consecutive rows, about ``_BLOCK_ENTRIES`` entries each."""
     step = max(1, _BLOCK_ENTRIES // max(1, cols))
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _products(t: np.ndarray, x: np.ndarray, y) -> np.ndarray:
+    """``t[x, y]`` entry by entry, for an index array x and indices y that
+    broadcast to its shape, as one take from ``t.ravel()`` at x*n + y (in
+    intp: x*n wraps in the dtype of a uint8 or uint16 x)."""
+    flat = np.multiply(x, len(t), dtype=np.intp)
+    flat += y
+    return t.ravel().take(flat)
+
+
+def _hits(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Mask of the elements that occur in ``x[rows][:, cols]``, for an n x n
+    map x of elements: per block of rows (about ``_BLOCK_ENTRIES`` entries
+    of x), the rows are taken, then the columns, then one ``np.bincount``."""
+    n = x.shape[1]
+    hit = np.zeros(n, dtype=bool)
+    for b in _blocks(len(rows), n):
+        hit |= np.bincount(x[rows[b]][:, cols].ravel(), minlength=n).astype(bool)
+    return hit
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +140,9 @@ def commutator_map(g: FiniteGroup) -> np.ndarray:
     a = np.arange(g.order)
     c = np.empty_like(t)
     for rows in _blocks(g.order, g.order):
-        y = a[rows, None]
-        c[rows] = t[t[t[inv[None, :], inv[y]], a[None, :]], y]
+        u = inv.take(t[rows])  # (y a)^-1 = a^-1 y^-1
+        u = _products(t, u, a)  # a^-1 y^-1 a
+        c[rows] = _products(t, u, a[rows, None])  # a^-1 y^-1 a y
     c.flags.writeable = False
     return c
 
@@ -135,10 +165,10 @@ def powers(g: FiniteGroup, m: int, x: Optional[np.ndarray] = None) -> np.ndarray
     acc = np.full(base.shape, g.identity, dtype=g.table.dtype)
     while m:
         if m & 1:
-            acc = g.table[acc, base]
+            acc = _products(g.table, acc, base)
         m >>= 1
         if m:
-            base = g.table[base, base]
+            base = _products(g.table, base, base)
     return acc
 
 
@@ -186,7 +216,7 @@ def prime_order_cosets(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
     index = g.order // int(np.count_nonzero(inside))
     hit = np.zeros(g.order, dtype=bool)
     for p, _ in _prime_powers(index):
-        hit |= inside[powers(g, p)]
+        hit |= inside.take(powers(g, p))
     return hit & ~inside
 
 
@@ -414,13 +444,11 @@ def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
     products (inverses come free in a finite group)."""
     if getattr(seeds, "dtype", None) == bool:
         raise ValueError("subgroup_generated takes element indices, not a mask")
-    seeds = np.unique(np.fromiter(seeds, dtype=np.intp))
+    seeds = np.flatnonzero(np.bincount(np.fromiter(seeds, dtype=np.intp), minlength=g.order))
     inside = np.arange(g.order) == g.identity
     frontier = np.array([g.identity])
     while frontier.size:
-        reached = np.zeros_like(inside)
-        for rows in _blocks(len(frontier), len(seeds)):
-            reached[g.table[np.ix_(frontier[rows], seeds)]] = True
+        reached = _hits(g.table, frontier, seeds)
         frontier = np.flatnonzero(reached & ~inside)
         inside[frontier] = True
     return inside
@@ -437,18 +465,17 @@ def upper_central_series(
     for the subgroup H with mask ``within`` (default G).
 
     x in H lies in Z_{i+1}(H) iff every [a, x] with a in H (row x of the
-    commutator map, restricted to H) lies in Z_i(H)."""
+    commutator map, restricted to H) lies in Z_i(H).  Each pass takes H's
+    rows of the map block by block, then H's columns from them."""
     c = commutator_map(g)
-    members = np.arange(g.order)
-    if within is not None:
-        members = np.flatnonzero(_mask(g, within))
-        c = c[np.ix_(members, members)]  # rows and columns over H
+    members = np.arange(g.order) if within is None else np.flatnonzero(_mask(g, within))
     inside = np.arange(g.order) == g.identity
     series = [inside]
     while True:
         nxt = np.zeros_like(inside)
-        for rows in _blocks(len(members), len(members)):
-            nxt[members[rows]] = inside[c[rows]].all(axis=1)
+        for rows in _blocks(len(members), g.order):
+            block = c[rows] if within is None else c[members[rows]][:, members]
+            nxt[members[rows]] = inside.take(block).all(axis=1)
         if np.array_equal(nxt, inside):
             return series
         inside = nxt
@@ -483,9 +510,7 @@ def derived_series(g: FiniteGroup) -> list[np.ndarray]:
     series = [np.ones(g.order, dtype=bool)]
     while True:
         cur = np.flatnonzero(series[-1])
-        comms = np.zeros(g.order, dtype=bool)
-        for rows in _blocks(len(cur), len(cur)):
-            comms[c[np.ix_(cur[rows], cur)]] = True
+        comms = _hits(c, cur, cur)
         nxt = subgroup_generated(g, np.flatnonzero(comms))
         if np.array_equal(nxt, series[-1]):
             return series
@@ -501,7 +526,7 @@ def is_normal(g: FiniteGroup, inside: np.ndarray) -> bool:
     x [x, a] of a member x lies in it iff [a, x] = [x, a]^-1 = c[x, a] does."""
     inside = _mask(g, inside)
     c, members = commutator_map(g), np.flatnonzero(inside)
-    return all(inside[c[members[rows]]].all() for rows in _blocks(len(members), g.order))
+    return all(inside.take(c[members[rows]]).all() for rows in _blocks(len(members), g.order))
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, IntegerSpectrum]:
     # one opaque value per row: sorting bytes is far faster than sorting rows
     rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
     _, rep, size = np.unique(rows, return_index=True, return_counts=True)
-    b = off[np.ix_(rep, rep)] * size
+    b = off[rep][:, rep] * size
     b[np.diag_indices_from(b)] = diag[rep]
     tail = IntegerSpectrum.merged(zip(diag[rep].tolist(), (size - 1).tolist()))
     return b, tail

@@ -142,9 +142,10 @@ def _zagreb_record(zr: topology.ZagrebReport) -> dict:
     }
 
 
-def _energy_record(rep: SpectrumReport, closed: SpectrumReport) -> dict:
+def _energy_record(rep: SpectrumReport, closed: Optional[SpectrumReport]) -> dict:
     """The spectra, energies and flags of ``rep``, and whether its three
-    polynomials are those of the closed-form report ``closed``."""
+    polynomials are those of the closed-form report ``closed`` (never, when
+    there is none)."""
     spectra = {
         "spectrum": rep.adjacency_spectrum,
         "laplacian_spectrum": rep.laplacian_spectrum,
@@ -158,7 +159,8 @@ def _energy_record(rep: SpectrumReport, closed: SpectrumReport) -> dict:
         "hyperenergetic": rep.hyperenergetic,
         "hypoenergetic": rep.hypoenergetic,
         "e_le_holds": rep.e_le_holds,
-        "polys_match_closed_form": rep.adjacency_poly == closed.adjacency_poly
+        "polys_match_closed_form": closed is not None
+        and rep.adjacency_poly == closed.adjacency_poly
         and rep.laplacian_poly == closed.laplacian_poly
         and rep.signless_poly == closed.signless_poly,
     }
@@ -182,9 +184,17 @@ def _measure_isomorphic(g: FiniteGroup, h: FiniteGroup) -> dict:
     return {"isomorphic": pg is not None and pg == _measure_parts(h)["parts"]}
 
 
-def _measure_genus(g: FiniteGroup) -> dict:
+def _uniform_shape(g: FiniteGroup) -> Optional[MultipartiteShape]:
+    """The reduced graph's shape if it is some K_{a.b}, else None: the genus
+    and energy measures then give a computed side that fails."""
     shape = _shape(g)
-    return {"genus": topology.genus_uniform_multipartite(shape.a, shape.b)}
+    return shape if shape is not None and shape.is_uniform else None
+
+
+def _measure_genus(g: FiniteGroup) -> dict:
+    shape = _uniform_shape(g)
+    genus = None if shape is None else topology.genus_uniform_multipartite(shape.a, shape.b)
+    return {"genus": genus}
 
 
 def _measure_class(g: FiniteGroup) -> dict:
@@ -192,9 +202,9 @@ def _measure_class(g: FiniteGroup) -> dict:
 
 
 def _measure_energy(g: FiniteGroup) -> dict:
-    graph = engel.reduced_co_engel_graph(g)
-    closed = closed_form_spectra(recognize_complete_multipartite(graph))
-    return _energy_record(spectrum_report(graph), closed)
+    shape = _uniform_shape(g)
+    closed = None if shape is None else closed_form_spectra(shape)
+    return _energy_record(spectrum_report(engel.reduced_co_engel_graph(g)), closed)
 
 
 def _measure_zagreb(g: FiniteGroup) -> dict:

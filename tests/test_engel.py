@@ -131,12 +131,19 @@ def test_engel_relation_matches_verdict_soluble_catalog(spec):
 
 
 DEEP_RELATION_SPECS = ["S:4", "A:5", "S:5", "D:128", "Q:64"]
+# D:254 and C:255 have uint8 tables; D:256 and Q:256 have the first uint16
+# ones, whose n * n no longer fits the dtype; D:384 and S:6 are the largest
+# groups the graph exports build
+NARROW_DTYPE_SPECS = ["D:254", "C:255", "D:256", "Q:256", "D:384", "S:6"]
 
 
-@pytest.mark.parametrize("spec", [*_soluble_catalog(48), *DEEP_RELATION_SPECS])
+@pytest.mark.parametrize(
+    "spec", [*_soluble_catalog(48), *DEEP_RELATION_SPECS, *NARROW_DTYPE_SPECS]
+)
 def test_engel_relation_matches_the_fixed_round_doubling(spec):
     # stopping a block early must give the relation all rounds give, also
-    # when every block is three rows
+    # when every block is three rows; each squaring takes at f + r*n, which
+    # must not wrap in the table's dtype
     g = el.build_group(spec)
     want = oracles.engel_relation_fixed_rounds(g)
     assert np.array_equal(engel_relation(g), want)
@@ -150,13 +157,13 @@ def test_engel_relation_stops_once_a_round_adds_nothing(spec, squarings, monkeyp
     # abelian rows are final at once; D_128 (Engel depth 7) needs 3 rounds
     # where the bound allows 7, and S_5 stops after 2 of its 7
     g = el.build_group(spec)
-    calls, take = [], np.take_along_axis
+    calls, square = [], engel._square_rows
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return take(*args, **kwargs)
+        return square(*args, **kwargs)
 
-    monkeypatch.setattr(engel.np, "take_along_axis", counted)
+    monkeypatch.setattr(engel, "_square_rows", counted)
     engel_relation.__wrapped__(g)
     assert len(calls) == squarings
 

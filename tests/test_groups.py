@@ -1,6 +1,7 @@
 """Group-core: builders, axioms, commutator machinery, series, isomorphism."""
 
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
-from engel_lab import cli, groups
+from engel_lab import cli, engel, groups
 from engel_lab.groups import (
     default_frobenius_residue,
     derived_series,
@@ -367,6 +368,48 @@ def test_group_command_computes_the_whole_group_series_once(monkeypatch, capsys)
     assert len(census) == 180 and whole_group_calls(census) == 180
 
 
+def test_baer_walk_with_l_equal_to_g_reads_only_the_whole_group_series(monkeypatch):
+    # L = G is normal with no element outside it: no closure of L, no
+    # normality pass and no series over a subgroup, on 94 census groups
+    calls = []
+
+    def count(module, name, when=lambda *args: True):
+        original = getattr(module, name)
+
+        def counted(*args):
+            if when(*args):
+                calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(engel, "subgroup_generated")
+    count(engel, "is_normal")
+    count(groups, "upper_central_series", lambda g, within=None: within is not None)
+    caches = layertrace.lru_caches()
+    whole = 0
+    for spec in workloads.census_specs():
+        layertrace.clear_caches(caches)
+        g = el.build_group(spec)
+        is_whole = len(el.left_engel_set(g)) == g.order
+        calls.clear()
+        engel.validate_left_engel_baer(g)
+        assert (calls == []) is is_whole, (spec, calls)
+        whole += is_whole
+    assert whole == 94
+
+
+def test_no_broadcast_gathers_in_the_package():
+    # gathers are row-then-column takes and flat 1-D takes (groups.py)
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(Path(groups.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bix_\b|take_along_axis", line)
+    ]
+    assert found == []
+
+
 def test_d12_hypercenter_order_two():
     assert np.count_nonzero(el.hypercenter(el.build_dihedral(12))) == 2
 
@@ -599,6 +642,67 @@ def test_structure_matches_model_group(spec, data):
         assert np.array_equal(groups.commutator_map.__wrapped__(g), groups.commutator_map(g))
         assert _structure(g) == want
         assert [el.is_normal(g, s) for s in candidates] == normal
+
+
+# D:254 and C:255 have uint8 tables; D:256 and Q:256 have the first uint16
+# ones, whose n * n no longer fits the dtype; D:384 and S:6 are the largest
+# groups the workloads build
+NARROW_DTYPE_SPECS = ["D:254", "C:255", "D:256", "Q:256", "D:384", "S:6"]
+
+
+def _closure_by_definition(g, seeds):
+    inside = frontier = {g.identity}
+    while frontier:
+        frontier = {g.mul(x, s) for x in frontier for s in seeds} - inside
+        inside = inside | frontier
+    return sorted(inside)
+
+
+@functools.lru_cache(maxsize=None)
+def _model_upper_central_series(spec):
+    model = _model(spec)
+    index = {x: i for i, x in enumerate(model.elements)}
+    return [sorted(index[x] for x in z) for z in model.upper_central_series()]
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("spec", NARROW_DTYPE_SPECS)
+def test_closures_and_series_in_narrow_table_dtypes(spec, rows, monkeypatch):
+    # uint8 and uint16 tables, in whole blocks and in blocks of three rows:
+    # products against gathers in intp and scalar powers, closures against
+    # the definition, the series against the model group (D and C up to
+    # order 256: the quaternion model finds inverses by search) and the
+    # series over subgroups against the subgroup re-tabled on its own
+    g = el.build_group(spec)
+    if rows:
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", rows * g.order)
+    # the products t[x, y] of index arrays, against broadcast gathers in intp
+    t, inv, a = g.table.astype(np.intp), g.inverse.astype(np.intp), np.arange(g.order)
+    want = t[t[t[inv[None, :], inv[:, None]], a[None, :]], a[:, None]]  # [a, y] at [y, a]
+    assert np.array_equal(groups.commutator_map.__wrapped__(g), want)
+    for m in (2, 3, g.order - 1):
+        assert groups.powers(g, m).tolist() == [g.power(x, m) for x in range(g.order)]
+    last = g.order - 1
+    for seeds in ([last], [1, last], [g.order // 2 + 1, last]):
+        assert np.flatnonzero(el.subgroup_generated(g, seeds)).tolist() == (
+            _closure_by_definition(g, seeds)
+        ), seeds
+    series = [np.flatnonzero(z).tolist() for z in el.upper_central_series(g)]
+    if spec[0] in "CD" and g.order <= 256:
+        assert series == _model_upper_central_series(spec)
+    derived = derived_series(g)
+    lset = np.isin(np.arange(g.order), sorted(el.left_engel_set(g)))
+    for sub in (derived[1], lset, el.subgroup_generated(g, [last])):
+        h = oracles.subgroup_as_group(g, sub)
+        members = np.flatnonzero(sub)
+        want = [members[z].tolist() for z in el.upper_central_series(h)]
+        assert [np.flatnonzero(z).tolist() for z in el.upper_central_series(g, sub)] == want
+    # the derived series of G' is the rest of G's
+    h = oracles.subgroup_as_group(g, derived[1])
+    members = np.flatnonzero(derived[1])
+    assert [members[z].tolist() for z in derived_series(h)] == [
+        np.flatnonzero(z).tolist() for z in derived[1:]
+    ]
 
 
 POWER_SPECS = ["C:1", "C:12", "D:24", "Q:16", "F:3:7", "A:4", "S:4", "A:5", "P:(C:3)x(D:6)"]

@@ -222,6 +222,20 @@ def test_verification_energy_and_zagreb_expected_sides_match_the_theorems():
     assert _expected_sides("energy-", "zagreb-") == want
 
 
+def test_verification_genus_and_energy_fail_on_a_graph_that_is_not_k_a_b(monkeypatch):
+    # S:4's reduced graph is not complete multipartite: the genus and energy
+    # measures give a computed side that fails the claim instead of raising
+    g = el.build_group("S:4")
+    genus = el.verify._claim("genus-formula-D", "S:4", {"genus": 0}, el.verify._measure_genus)
+    assert genus.compute() == {"genus": None} != genus.expected
+    assert el.verify._measure_energy(g)["polys_match_closed_form"] is False
+    # a complete multipartite graph with unequal parts has no closed form either
+    monkeypatch.setattr(el.verify, "recognize_complete_multipartite",
+                        lambda graph: MultipartiteShape((3, 2, 2)))
+    assert el.verify._measure_genus(g) == {"genus": None}
+    assert el.verify._measure_energy(g)["polys_match_closed_form"] is False
+
+
 # --- CLI
 
 
@@ -259,6 +273,14 @@ def test_cli_analyze_bytes_are_pinned(spec, capsys):
     # and echoed as its canonical text, so its document is D:6's
     want = (DATA / f"analyze_{spec.strip().replace(':', '')}.json").read_text()
     assert _run_cli(["analyze", spec], capsys) == (0, want, "")
+
+
+@pytest.mark.parametrize("spec", ["C:180", "D:172", "Q:180", "F:5:31", "S:4", "A:6", "S:6"])
+def test_cli_group_bytes_are_pinned(spec, capsys):
+    # abelian (L = G), D/Q/F with L a proper cyclic subgroup, S:4 with
+    # L = V_4, and the non-soluble A:6 and S:6 with L = 1
+    want = (DATA / f"group_{spec.replace(':', '')}.json").read_text()
+    assert _run_cli(["group", spec], capsys) == (0, want, "")
 
 
 @pytest.mark.parametrize("args, name", [
@@ -517,6 +539,20 @@ def test_cli_import_leaves_networkx_unloaded():
         capture_output=True,
         text=True,
     )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_group_and_graph_commands_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (about 1 MB) on first use; the structure
+    # functions and graph views find sets of elements with np.bincount
+    script = (
+        "import io, sys, contextlib, engel_lab.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['group', 'S:4'], ['group', 'A:5'], ['graph', 'D:12', '--reduced']):\n"
+        "        c.main(argv)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
