@@ -11,11 +11,9 @@ from .analysis import (
     verify_biclique,
 )
 from .engel import (
-    EngelVerdict,
     co_engel_graph,
     directed_engel_graph,
     engel_relation,
-    engel_verdict,
     left_engel_set,
     non_engel_elements,
     reduced_co_engel_graph,
@@ -23,7 +21,7 @@ from .engel import (
     single_arcs_outside_left_engel,
     validate_left_engel_baer,
 )
-from .graphs import DirectedGraph, SimpleGraph, complete_multipartite_graph
+from .graphs import DirectedGraph, SimpleGraph
 from .groups import (
     FiniteGroup,
     build_alternating,
@@ -32,7 +30,6 @@ from .groups import (
     build_frobenius,
     build_generalized_quaternion,
     build_symmetric,
-    center,
     direct_product,
     hypercenter,
     is_nilpotent,
@@ -40,7 +37,6 @@ from .groups import (
     is_soluble,
     subgroup_generated,
     upper_central_series,
-    validate_group,
 )
 from .spectra import (
     IntegerSpectrum,
@@ -62,7 +58,6 @@ from .topology import (
     genus_complete,
     genus_complete_bipartite,
     genus_uniform_multipartite,
-    surface_class_of_reduced,
     zagreb_closed_form,
     zagreb_report,
 )

@@ -1,9 +1,5 @@
-"""Engel commutator machinery: verdicts, the Engel relation, the left Engel
-set, co-Engel and directed Engel graphs.
-
-The iterated commutator sequence a_{k+1} = [a_k, y] lives in a finite set, so
-it is eventually periodic; a verdict reports either the minimal k with
-[x,_k y] = 1 or the period of the non-terminating tail.
+"""Engel commutator machinery: the Engel relation, the left Engel set,
+co-Engel and directed Engel graphs.
 
 ``engel_relation`` decides [x,_k y] = 1 for every pair at once by pointer
 doubling on the rows of the group's commutator map ``c[y, a] = [a, y]``
@@ -14,9 +10,7 @@ of that one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -31,45 +25,6 @@ from .groups import (
     prime_order_cosets,
     subgroup_generated,
 )
-
-
-@dataclass(frozen=True)
-class EngelVerdict:
-    """Outcome of iterating [x, _k y] over k = 1, 2, ...
-
-    Exactly one of ``first_k`` (minimal k reaching the identity) and
-    ``cycle_length`` (period of the recurring tail) is set.
-    """
-
-    terminates: bool
-    first_k: Optional[int] = None
-    cycle_length: Optional[int] = None
-
-    def __post_init__(self):
-        if self.terminates != (self.first_k is not None) or self.terminates == (
-            self.cycle_length is not None
-        ):
-            raise ValueError("exactly one of first_k / cycle_length must be set")
-
-
-def engel_verdict(g: FiniteGroup, x: int, y: int) -> EngelVerdict:
-    """Iterate a_1 = [x,y], a_{k+1} = [a_k, y] until identity or first repeat.
-
-    The identity, once reached, is absorbing ([1,y] = 1), so it can only occur
-    before the first repeat; the |G| iteration bound is asserted, never used
-    as the stop rule.
-    """
-    seen: dict[int, int] = {}
-    a = g.commutator(x, y)
-    k = 1
-    while a not in seen:
-        if a == g.identity:
-            return EngelVerdict(terminates=True, first_k=k)
-        seen[a] = k
-        a = g.commutator(a, y)
-        k += 1
-        assert k <= g.order + 1, "engel sequence exceeded the hard |G| bound"
-    return EngelVerdict(terminates=False, cycle_length=k - seen[a])
 
 
 def _square_rows(f: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -15,21 +15,9 @@ tails of its pairs.  Accessors return Python ints and bools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
-
-def _matrix_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool):
-    adj = np.zeros((n, n), dtype=bool)
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"vertex pair ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i} not allowed")
-        adj[i, j] = True
-        if symmetric:
-            adj[j, i] = True
-    return adj
 
 
 def pair_list(index: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
@@ -94,34 +82,8 @@ class SimpleGraph(_Graph):
 
     _DOT = ("graph", "--")
 
-    @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], labels=None
-    ) -> "SimpleGraph":
-        return cls(_matrix_from_pairs(n, edges, symmetric=True),
-                   tuple(labels) if labels is not None else None)
-
-    def validate(self) -> None:
-        adj = self.adj
-        if adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError(
-                f"adjacency must be a square bool matrix, got {adj.dtype} {adj.shape}"
-            )
-        loops = np.flatnonzero(adj.diagonal())
-        if loops.size:
-            raise ValueError(f"self-loop at vertex {loops[0]}")
-        i, j = np.nonzero(adj != adj.T)
-        if i.size:
-            raise ValueError(f"adjacency not symmetric at ({i[0]},{j[0]})")
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
-
     def degree(self, i: int) -> int:
         return int(np.count_nonzero(self.adj[i]))
-
-    def degrees(self) -> list[int]:
-        return np.count_nonzero(self.adj, axis=1).tolist()
 
     def n_edges(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
@@ -133,35 +95,11 @@ class SimpleGraph(_Graph):
     def edges(self) -> list[tuple[int, int]]:
         return pair_list(self.pair_arrays())
 
-    def n_components(self) -> int:
-        unseen, count = np.ones(self.n, dtype=bool), 0
-        while unseen.any():
-            count += 1
-            comp = np.zeros(self.n, dtype=bool)
-            comp[unseen.argmax()] = True
-            while True:  # grow comp by all neighbours of its vertices
-                grown = comp | self.adj[comp].any(axis=0)
-                if np.array_equal(grown, comp):
-                    break
-                comp = grown
-            unseen &= ~comp
-        return count
-
 
 class DirectedGraph(_Graph):
     """Loop-free directed graph; ``adj[i, j]`` is the arc i -> j."""
 
     _DOT = ("digraph", "->")
-
-    @classmethod
-    def from_arcs(
-        cls, n: int, arcs: Iterable[tuple[int, int]], labels=None
-    ) -> "DirectedGraph":
-        return cls(_matrix_from_pairs(n, arcs, symmetric=False),
-                   tuple(labels) if labels is not None else None)
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
 
     def n_arcs(self) -> int:
         return int(np.count_nonzero(self.adj))
@@ -170,17 +108,5 @@ class DirectedGraph(_Graph):
         """Index arrays (i, j) of the arcs in lexicographic order."""
         return np.nonzero(self.adj)
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return pair_list(self.pair_arrays())
-
     def is_complete(self) -> bool:
         return np.array_equal(self.adj, ~np.eye(self.n, dtype=bool))
-
-
-def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
-    """K_{n_1,...,n_k}: independent parts, all cross-part pairs joined."""
-    sizes = list(parts)
-    if any(s < 1 for s in sizes):
-        raise ValueError("part sizes must be positive")
-    part_of = np.repeat(np.arange(len(sizes)), sizes)
-    return SimpleGraph(part_of[:, None] != part_of[None, :])

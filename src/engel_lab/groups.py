@@ -6,9 +6,9 @@ so downstream computations reduce to exact table arithmetic.  ``table`` and
 Each builder gives its table as one broadcast expression of row and column
 indices; a permutation group's is one integer product of the permutations
 with a weight matrix, which gives each product's base-k code, and a dense
-lookup from codes to indices.  The structure functions (centre, series,
-normality, closure) are array expressions over the table and the commutator
-map ``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
+lookup from codes to indices.  The structure functions (series, normality,
+closure) are array expressions over the table and the commutator map
+``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
 whose commutator map also gives the subgroup's own series.  ``powers`` takes
 every element to the m-th power by repeated squaring, and element orders and
 prime-order cosets come from a few such powers per prime dividing the order.
@@ -28,15 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-
-EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 200
-ASSOCIATIVITY_SAMPLES = 10_000
 
 # Gathers through n x n index arrays run over blocks of rows of about this
 # many entries: a take copies its index array to 64-bit integers (256 KB a
@@ -95,25 +91,9 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
-    def conjugate(self, x: int, y: int) -> int:
-        """x conjugated by y, i.e. y^-1 x y = x [x, y]."""
-        return int(self.table[x, commutator_map(self)[y, x]])
-
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
         return int(commutator_map(self)[y, x])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        acc = self.identity
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
 
     def element_order(self, a: int) -> int:
         return int(element_orders(self)[a])
@@ -229,44 +209,28 @@ def _finalize(
 ) -> FiniteGroup:
     """The group whose table is ``product(u, v)`` for a column u of row indices
     and a row v of column indices (intp); rows are filled in blocks, narrowed
-    to ``np.min_scalar_type(order)``."""
+    to ``np.min_scalar_type(order)``.  The identity is the first idempotent
+    whose row and column are both identity maps, and inverses are found one
+    row block at a time, so no n x n temporary is made."""
     table = np.empty((order, order), dtype=np.min_scalar_type(order))
     v = np.arange(order)
     for rows in _blocks(order, order):
         table[rows] = product(v[rows, None], v[None, :])
-    is_identity = (table == v).all(axis=1) & (table == v[:, None]).all(axis=0)
-    if not is_identity.any():
+    identity = next((int(x) for x in np.flatnonzero(table.diagonal() == v)
+                     if np.array_equal(table[x], v) and np.array_equal(table[:, x], v)), None)
+    if identity is None:
         raise ValueError(f"table for {label} has no identity element")
-    identity = int(is_identity.argmax())
-    both = (table == identity) & (table.T == identity)
-    found = both.any(axis=1)
-    if not found.all():
-        raise ValueError(f"element {found.argmin()} of {label} has no inverse")
-    inverse = both.argmax(axis=1).astype(table.dtype)
+    inverse = np.empty(order, dtype=table.dtype)
+    for rows in _blocks(order, order):
+        both = (table[rows] == identity) & (table[:, rows].T == identity)
+        found = both.any(axis=1)
+        if not found.all():
+            raise ValueError(f"element {rows.start + found.argmin()} of {label} has no inverse")
+        inverse[rows] = both.argmax(axis=1)
     table.flags.writeable = inverse.flags.writeable = False
     return FiniteGroup(
         order, table, identity, inverse, tuple(generators), tuple(names), label
     )
-
-
-def from_table(
-    rows: Sequence[Sequence[int]],
-    names: Optional[Sequence[str]] = None,
-    generators: Sequence[tuple[str, int]] = (),
-    label: str = "group",
-) -> FiniteGroup:
-    """Wrap a raw multiplication table of indices 0..n-1 (ValueError
-    otherwise); identity and inverses are found from it, and names default
-    to the indices."""
-    table = np.asarray(rows)
-    order = len(table)
-    if table.shape != (order, order) or not np.issubdtype(table.dtype, np.integer) or (
-        order and (table.min() < 0 or table.max() >= order)
-    ):
-        raise ValueError(f"{label}: not an {order}x{order} table of indices below {order}")
-    if names is None:
-        names = tuple(str(i) for i in range(order))
-    return _finalize(order, lambda u, v: table[u, v], names, generators, label)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +418,6 @@ def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
     return inside
 
 
-def center(g: FiniteGroup) -> np.ndarray:
-    return (commutator_map(g) == g.identity).all(axis=1)
-
-
 def upper_central_series(
     g: FiniteGroup, within: Optional[np.ndarray] = None
 ) -> list[np.ndarray]:
@@ -527,41 +487,3 @@ def is_normal(g: FiniteGroup, inside: np.ndarray) -> bool:
     inside = _mask(g, inside)
     c, members = commutator_map(g), np.flatnonzero(inside)
     return all(inside.take(c[members[rows]]).all() for rows in _blocks(len(members), g.order))
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate_group(g: FiniteGroup, force_exhaustive: bool = False) -> None:
-    """Check the group axioms on the table; raises ValueError on violation.
-
-    Associativity is exhaustive up to order 200 (O(n^3), vectorised) and
-    sampled with >= 10^4 random triples above that unless forced.
-    """
-    n = g.order
-    t = g.table
-    if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
-        raise ValueError(f"{g.label}: table is not an {n}x{n} index table")
-    ref = np.arange(n)
-    if not (np.array_equal(np.sort(t, axis=1), np.tile(ref, (n, 1)))
-            and np.array_equal(np.sort(t, axis=0), np.tile(ref[:, None], (1, n)))):
-        raise ValueError(f"{g.label}: table is not a Latin square")
-    e = g.identity
-    if not (np.array_equal(t[e], ref) and np.array_equal(t[:, e], ref)):
-        raise ValueError(f"{g.label}: identity axiom fails")
-    inv = g.inverse
-    if not (np.all(t[ref, inv] == e) and np.all(t[inv, ref] == e)):
-        raise ValueError(f"{g.label}: inverse axiom fails")
-    if n <= EXHAUSTIVE_ASSOCIATIVITY_LIMIT or force_exhaustive:
-        left = t[t, :]          # left[i,j,k] = t[t[i,j], k]
-        right = t[:, t]         # right[i,j,k] = t[i, t[j,k]]
-        if not np.array_equal(left, right):
-            raise ValueError(f"{g.label}: associativity fails")
-    else:
-        rng = random.Random(0)
-        i, j, k = np.array(
-            [[rng.randrange(n) for _ in range(3)] for _ in range(ASSOCIATIVITY_SAMPLES)]
-        ).T
-        if not np.array_equal(t[t[i, j], k], t[i, t[j, k]]):
-            raise ValueError(f"{g.label}: associativity fails (sampled)")

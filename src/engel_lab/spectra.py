@@ -53,12 +53,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):

@@ -16,10 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import engel
-from .analysis import MultipartiteShape, recognize_complete_multipartite
+from .analysis import MultipartiteShape
 from .graphs import SimpleGraph
-from .groups import FiniteGroup
 from .spectra import fraction_text
 
 CLASS_PLANAR = "planar"
@@ -137,7 +135,12 @@ def _not_projective_by_biclique(parts: tuple[int, ...]) -> bool:
     return False
 
 
-def _surface_from_shape(shape: MultipartiteShape) -> SurfaceClass:
+def surface_class(shape: Optional[MultipartiteShape]) -> SurfaceClass:
+    """Surface classification of a complete multipartite graph of the given
+    shape via the closed-form genus formulas; an unrecognised graph (shape
+    None) and shapes no formula covers classify as unknown."""
+    if shape is None:
+        return SurfaceClass(None, None, None)
     parts = shape.parts
     # complete graph: every part a single vertex
     if parts[0] == 1:
@@ -166,16 +169,6 @@ def _surface_from_shape(shape: MultipartiteShape) -> SurfaceClass:
     # is toroidal; it is the reduced co-Engel graph of A_4)
     genus = 1 if parts == (2, 2, 2, 2) else genus_uniform_multipartite(shape.a, shape.b)
     return SurfaceClass(genus, None, projective)
-
-
-def surface_class_of_reduced(g: FiniteGroup) -> SurfaceClass:
-    """Surface classification of the reduced co-Engel graph of G via the
-    closed-form genus formulas; unrecognised shapes classify as unknown."""
-    graph = engel.reduced_co_engel_graph(g)
-    shape = recognize_complete_multipartite(graph)
-    if shape is None:
-        return SurfaceClass(None, None, None)
-    return _surface_from_shape(shape)
 
 
 # ---------------------------------------------------------------------------

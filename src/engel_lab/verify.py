@@ -198,7 +198,7 @@ def _measure_genus(g: FiniteGroup) -> dict:
 
 
 def _measure_class(g: FiniteGroup) -> dict:
-    return {"classification": topology.surface_class_of_reduced(g).classification}
+    return {"classification": topology.surface_class(_shape(g)).classification}
 
 
 def _measure_energy(g: FiniteGroup) -> dict:
@@ -236,7 +236,7 @@ def _s4_klein_four(g: FiniteGroup) -> list[int]:
 
 
 def _measure_projective(g: FiniteGroup) -> dict:
-    sc = topology.surface_class_of_reduced(g)
+    sc = topology.surface_class(_shape(g))
     return {"projective": sc.projective, "planar": sc.classification == topology.CLASS_PLANAR}
 
 
@@ -374,7 +374,7 @@ def _claims_other() -> Iterator[Claim]:
         "projective",
         "D:6",
         {"crosscap": 1},
-        lambda g: {"crosscap": topology.surface_class_of_reduced(g).crosscap},
+        lambda g: {"crosscap": topology.surface_class(_shape(g)).crosscap},
     )
     # the proof's obstructions: a K_{m,n} subgraph of crosscap 2
     for spec, (m, n) in (("A:4", (4, 4)), ("P:(C:3)x(D:6)", (6, 3))):
@@ -384,7 +384,7 @@ def _claims_other() -> Iterator[Claim]:
             {f"crosscap_K{m}{n}": 2, "projective": False},
             lambda g, m=m, n=n: {
                 f"crosscap_K{m}{n}": topology.crosscap_complete_bipartite(m, n),
-                "projective": topology.surface_class_of_reduced(g).projective,
+                "projective": topology.surface_class(_shape(g)).projective,
             },
         )
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive: groups are modelled with explicit
 element tuples (not index tables), graph searches are exhaustive, and
 polynomials come from permanent-style determinant expansion or from a modular
 Faddeev-LeVerrier kernel.  None of it shares code with the package under test,
-except the subgroup, quotient and isomorphism tests and the earlier kernels at
-the end, which take the package's groups and graphs and use its table wrapper,
+except the sections at the end: the per-pair and axiom references, the
+subgroup, quotient and isomorphism tests and the earlier kernels take the
+package's groups and graphs and use its table finaliser, scalar accessors,
 commutator map, cycle names, normality test, subgroup closure and
 multipartite recognition.
 """
@@ -14,17 +15,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from engel_lab.analysis import recognize_complete_multipartite
-from engel_lab.graphs import SimpleGraph
+from engel_lab.graphs import DirectedGraph, SimpleGraph
 from engel_lab.groups import (
     FiniteGroup,
     _cycle_name,
+    _finalize,
     commutator_map,
-    from_table,
     is_normal,
     subgroup_generated,
 )
@@ -439,6 +443,171 @@ def brute_energies(adj_spec, lap_spec, q_spec, n_edges, n_vertices):
 
 
 # ---------------------------------------------------------------------------
+# references on the package's groups and graphs: the per-pair Engel verdict,
+# the group axioms, scalar powers, table and pair-list wrappers
+
+
+EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 200
+ASSOCIATIVITY_SAMPLES = 10_000
+
+
+@dataclass(frozen=True)
+class EngelVerdict:
+    """Outcome of iterating [x, _k y] over k = 1, 2, ...
+
+    Exactly one of ``first_k`` (minimal k reaching the identity) and
+    ``cycle_length`` (period of the recurring tail) is set.
+    """
+
+    terminates: bool
+    first_k: Optional[int] = None
+    cycle_length: Optional[int] = None
+
+    def __post_init__(self):
+        if self.terminates != (self.first_k is not None) or self.terminates == (
+            self.cycle_length is not None
+        ):
+            raise ValueError("exactly one of first_k / cycle_length must be set")
+
+
+def engel_verdict(g: FiniteGroup, x: int, y: int) -> EngelVerdict:
+    """Iterate a_1 = [x,y], a_{k+1} = [a_k, y] until identity or first repeat.
+
+    The sequence lives in a finite set, so it is eventually periodic.  The
+    identity, once reached, is absorbing ([1,y] = 1), so it can only occur
+    before the first repeat; the |G| iteration bound is asserted, never used
+    as the stop rule.
+    """
+    seen: dict[int, int] = {}
+    a = g.commutator(x, y)
+    k = 1
+    while a not in seen:
+        if a == g.identity:
+            return EngelVerdict(terminates=True, first_k=k)
+        seen[a] = k
+        a = g.commutator(a, y)
+        k += 1
+        assert k <= g.order + 1, "engel sequence exceeded the hard |G| bound"
+    return EngelVerdict(terminates=False, cycle_length=k - seen[a])
+
+
+def validate_group(g: FiniteGroup, force_exhaustive: bool = False) -> None:
+    """Check the group axioms on the table; raises ValueError on violation.
+
+    Associativity is exhaustive up to order 200 (O(n^3), vectorised) and
+    sampled with >= 10^4 random triples above that unless forced.
+    """
+    n = g.order
+    t = g.table
+    if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+        raise ValueError(f"{g.label}: table is not an {n}x{n} index table")
+    ref = np.arange(n)
+    if not (np.array_equal(np.sort(t, axis=1), np.tile(ref, (n, 1)))
+            and np.array_equal(np.sort(t, axis=0), np.tile(ref[:, None], (1, n)))):
+        raise ValueError(f"{g.label}: table is not a Latin square")
+    e = g.identity
+    if not (np.array_equal(t[e], ref) and np.array_equal(t[:, e], ref)):
+        raise ValueError(f"{g.label}: identity axiom fails")
+    inv = g.inverse
+    if not (np.all(t[ref, inv] == e) and np.all(t[inv, ref] == e)):
+        raise ValueError(f"{g.label}: inverse axiom fails")
+    if n <= EXHAUSTIVE_ASSOCIATIVITY_LIMIT or force_exhaustive:
+        left = t[t, :]          # left[i,j,k] = t[t[i,j], k]
+        right = t[:, t]         # right[i,j,k] = t[i, t[j,k]]
+        if not np.array_equal(left, right):
+            raise ValueError(f"{g.label}: associativity fails")
+    else:
+        rng = random.Random(0)
+        i, j, k = np.array(
+            [[rng.randrange(n) for _ in range(3)] for _ in range(ASSOCIATIVITY_SAMPLES)]
+        ).T
+        if not np.array_equal(t[t[i, j], k], t[i, t[j, k]]):
+            raise ValueError(f"{g.label}: associativity fails (sampled)")
+
+
+def from_table(
+    rows: Sequence[Sequence[int]],
+    names: Optional[Sequence[str]] = None,
+    generators: Sequence[tuple[str, int]] = (),
+    label: str = "group",
+) -> FiniteGroup:
+    """Wrap a raw multiplication table of indices 0..n-1 (ValueError
+    otherwise); identity and inverses are found from it by the package's
+    ``_finalize``, and names default to the indices."""
+    table = np.asarray(rows)
+    order = len(table)
+    if table.shape != (order, order) or not np.issubdtype(table.dtype, np.integer) or (
+        order and (table.min() < 0 or table.max() >= order)
+    ):
+        raise ValueError(f"{label}: not an {order}x{order} table of indices below {order}")
+    if names is None:
+        names = tuple(str(i) for i in range(order))
+    return _finalize(order, lambda u, v: table[u, v], names, generators, label)
+
+
+def power(g: FiniteGroup, a: int, k: int) -> int:
+    """a^k by scalar square-and-multiply: the reference for ``powers``."""
+    if k < 0:
+        return power(g, g.inv(a), -k)
+    acc = g.identity
+    base = a
+    while k:
+        if k & 1:
+            acc = g.mul(acc, base)
+        base = g.mul(base, base)
+        k >>= 1
+    return acc
+
+
+def _matrix_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool):
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"vertex pair ({i},{j}) out of range for n={n}")
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i} not allowed")
+        adj[i, j] = True
+        if symmetric:
+            adj[j, i] = True
+    return adj
+
+
+def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> SimpleGraph:
+    return SimpleGraph(_matrix_from_pairs(n, edges, symmetric=True),
+                       tuple(labels) if labels is not None else None)
+
+
+def from_arcs(n: int, arcs: Iterable[tuple[int, int]], labels=None) -> DirectedGraph:
+    return DirectedGraph(_matrix_from_pairs(n, arcs, symmetric=False),
+                         tuple(labels) if labels is not None else None)
+
+
+def validate(g: SimpleGraph) -> None:
+    """Raise ValueError unless ``g.adj`` is a square bool matrix, symmetric
+    with a clear diagonal."""
+    adj = g.adj
+    if adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(
+            f"adjacency must be a square bool matrix, got {adj.dtype} {adj.shape}"
+        )
+    loops = np.flatnonzero(adj.diagonal())
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {loops[0]}")
+    i, j = np.nonzero(adj != adj.T)
+    if i.size:
+        raise ValueError(f"adjacency not symmetric at ({i[0]},{j[0]})")
+
+
+def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
+    """K_{n_1,...,n_k}: independent parts, all cross-part pairs joined."""
+    sizes = list(parts)
+    if any(s < 1 for s in sizes):
+        raise ValueError("part sizes must be positive")
+    part_of = np.repeat(np.arange(len(sizes)), sizes)
+    return SimpleGraph(part_of[:, None] != part_of[None, :])
+
+
+# ---------------------------------------------------------------------------
 # subgroups, quotients, isomorphism tests and element lookup on the package's
 # groups and graphs
 
@@ -556,7 +725,8 @@ ISO_VERTEX_LIMIT = 12
 
 def _iso_backtrack(g1: SimpleGraph, g2: SimpleGraph) -> bool:
     n = g1.n
-    deg1, deg2 = g1.degrees(), g2.degrees()
+    deg1 = np.count_nonzero(g1.adj, axis=1).tolist()
+    deg2 = np.count_nonzero(g2.adj, axis=1).tolist()
     if sorted(deg1) != sorted(deg2):
         return False
     order = sorted(range(n), key=lambda v: (-deg1[v], v))
@@ -572,7 +742,7 @@ def _iso_backtrack(g1: SimpleGraph, g2: SimpleGraph) -> bool:
                 continue
             ok = True
             for prev in order[:k]:
-                if g1.has_edge(v, prev) != g2.has_edge(w, mapping[prev]):
+                if g1.adj[v, prev] != g2.adj[w, mapping[prev]]:
                     ok = False
                     break
             if ok:
@@ -631,3 +801,20 @@ def perm_group_by_search(perms: list[tuple[int, ...]], label: str) -> FiniteGrou
     for i in range(k):
         code = code * k + p[u, p[v, i]]
     return from_table(np.searchsorted(codes, code), [_cycle_name(s) for s in perms], label=label)
+
+
+def identity_and_inverse_whole_table(table: np.ndarray, label: str) -> tuple[int, np.ndarray]:
+    """The identity and inverses of a table as ``groups._finalize`` found
+    them with whole-table comparisons: the first x whose row and column are
+    both identity maps, and for each x the first y with xy = yx = 1; the
+    same ValueError messages otherwise."""
+    v = np.arange(len(table))
+    is_identity = (table == v).all(axis=1) & (table == v[:, None]).all(axis=0)
+    if not is_identity.any():
+        raise ValueError(f"table for {label} has no identity element")
+    identity = int(is_identity.argmax())
+    both = (table == identity) & (table.T == identity)
+    found = both.any(axis=1)
+    if not found.all():
+        raise ValueError(f"element {found.argmin()} of {label} has no inverse")
+    return identity, both.argmax(axis=1)

@@ -11,11 +11,17 @@ from hypothesis import strategies as st
 
 import engel_lab as el
 from engel_lab.analysis import MultipartiteShape
-from engel_lab.graphs import SimpleGraph, complete_multipartite_graph
+from engel_lab.graphs import SimpleGraph, pair_list
 from engel_lab.verify import _soluble_catalog
 
 import oracles
-from oracles import graphs_isomorphic_small
+from oracles import (
+    complete_multipartite_graph,
+    from_arcs,
+    from_edges,
+    graphs_isomorphic_small,
+    validate,
+)
 
 
 # --- recognition
@@ -34,12 +40,12 @@ def test_recognition_round_trip(parts):
 
 
 def test_recognition_rejects_five_cycle():
-    c5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert el.recognize_complete_multipartite(c5) is None
 
 
 def test_recognition_rejects_path():
-    p4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert el.recognize_complete_multipartite(p4) is None
 
 
@@ -78,7 +84,7 @@ def test_recognition_agrees_with_oracle_on_random_graphs(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for p in pairs if data.draw(st.booleans())]
-    _assert_recognition_matches_oracle(SimpleGraph.from_edges(n, edges))
+    _assert_recognition_matches_oracle(from_edges(n, edges))
 
 
 def _assert_recognition_matches_oracle(graph):
@@ -135,7 +141,7 @@ def test_clique_reduced_a5_matches_networkx():
 
 
 def test_clique_edgeless_is_one():
-    graph = SimpleGraph.from_edges(5, [])
+    graph = from_edges(5, [])
     assert el.clique_number(graph) == 1
 
 
@@ -156,7 +162,7 @@ def test_clique_matches_brute_force(data):
     n = data.draw(st.integers(min_value=1, max_value=9))
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for p in pairs if data.draw(st.booleans())]
-    graph = SimpleGraph.from_edges(n, edges)
+    graph = from_edges(n, edges)
     assert el.clique_number(graph) == oracles.brute_clique_number(n, edges)
 
 
@@ -207,7 +213,7 @@ def test_planar_agrees_with_kuratowski_oracle_random(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for p in pairs if data.draw(st.booleans())]
-    graph = SimpleGraph.from_edges(n, edges)
+    graph = from_edges(n, edges)
     assert el.is_planar(graph) == oracles.planar_by_kuratowski(n, edges)
 
 
@@ -226,7 +232,7 @@ def test_planar_matches_networkx_on_random_graphs(data):
     n = data.draw(st.integers(min_value=0, max_value=13))
     pairs = data.draw(st.permutations(list(itertools.combinations(range(n), 2))))
     edges = pairs[: data.draw(st.integers(min_value=0, max_value=len(pairs)))]
-    graph = SimpleGraph.from_edges(n, edges)
+    graph = from_edges(n, edges)
     assert el.is_planar(graph) == _nx_planar(graph)
 
 
@@ -304,7 +310,7 @@ def test_iso_reduced_d12_q12():
 
 def test_iso_k3_vs_path_false():
     k3 = complete_multipartite_graph([1, 1, 1])
-    p3 = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    p3 = from_edges(3, [(0, 1), (1, 2)])
     assert not graphs_isomorphic_small(k3, p3)
 
 
@@ -314,9 +320,9 @@ def test_iso_c3xd6_is_k333():
 
 
 def test_iso_backtracking_on_cycles():
-    c5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    c5_relabelled = SimpleGraph.from_edges(5, [(2, 4), (4, 1), (1, 3), (3, 0), (0, 2)])
-    p5 = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5_relabelled = from_edges(5, [(2, 4), (4, 1), (1, 3), (3, 0), (0, 2)])
+    p5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert graphs_isomorphic_small(c5, c5_relabelled)
     assert not graphs_isomorphic_small(c5, p5)
 
@@ -330,11 +336,11 @@ def test_iso_dihedral_quaternion_sweep():
 
 
 def test_iso_size_limit_for_general_graphs():
-    star_a = SimpleGraph.from_edges(13, [(0, i) for i in range(1, 13)])
+    star_a = from_edges(13, [(0, i) for i in range(1, 13)])
     # stars are complete multipartite (K_{1,12}) so the shape path handles
     # them; perturb to leave the multipartite class
-    g1 = SimpleGraph.from_edges(13, [(0, i) for i in range(1, 13)] + [(1, 2)])
-    g2 = SimpleGraph.from_edges(13, [(0, i) for i in range(1, 13)] + [(2, 3)])
+    g1 = from_edges(13, [(0, i) for i in range(1, 13)] + [(1, 2)])
+    g2 = from_edges(13, [(0, i) for i in range(1, 13)] + [(2, 3)])
     assert graphs_isomorphic_small(star_a, complete_multipartite_graph([12, 1]))
     with pytest.raises(ValueError, match="limited"):
         graphs_isomorphic_small(g1, g2)
@@ -342,7 +348,7 @@ def test_iso_size_limit_for_general_graphs():
 
 def test_iso_multipartite_vs_non_multipartite():
     k4 = complete_multipartite_graph([1] * 4)
-    path = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert not graphs_isomorphic_small(k4, path)
 
 
@@ -351,37 +357,35 @@ def test_iso_multipartite_vs_non_multipartite():
 
 def test_simple_graph_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
-        SimpleGraph.from_edges(3, [(0, 0)])
+        from_edges(3, [(0, 0)])
 
 
 def test_simple_graph_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        SimpleGraph.from_edges(3, [(0, 5)])
+        from_edges(3, [(0, 5)])
 
 
 def test_simple_graph_validate_catches_asymmetry():
     g = SimpleGraph(np.array([[False, True], [False, False]]))
     with pytest.raises(ValueError, match="symmetric"):
-        g.validate()
-    SimpleGraph.from_edges(2, [(0, 1)]).validate()
+        validate(g)
+    validate(from_edges(2, [(0, 1)]))
 
 
 def test_simple_graph_validate_catches_diagonal_entry_and_non_matrix():
     adj = np.zeros((3, 3), dtype=bool)
     adj[1, 1] = True
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
-        SimpleGraph(adj).validate()
+        validate(SimpleGraph(adj))
     for bad in (np.zeros((2, 3), dtype=bool), np.zeros((3, 3), dtype=np.int8)):
         with pytest.raises(ValueError, match="square bool matrix"):
-            SimpleGraph(bad).validate()
+            validate(SimpleGraph(bad))
 
 
 def test_graph_json_edges_lexicographic():
-    g = SimpleGraph.from_edges(4, [(2, 3), (0, 2), (0, 1)])
+    g = from_edges(4, [(2, 3), (0, 2), (0, 1)])
     assert g.to_json_obj() == {"n": 4, "edges": [[0, 1], [0, 2], [2, 3]]}
-    from engel_lab.graphs import DirectedGraph
-
-    d = DirectedGraph.from_arcs(3, [(2, 0), (0, 1)])
+    d = from_arcs(3, [(2, 0), (0, 1)])
     assert d.to_json_obj() == {"n": 3, "edges": [[0, 1], [2, 0]]}
 
 
@@ -422,7 +426,7 @@ def _graph_pairs(draw, directed):
 def test_simple_graph_writers_match_references(drawn, labelled):
     n, edges = drawn
     labels = [f"v{i}" for i in range(n)] if labelled else None
-    g = SimpleGraph.from_edges(n, [(j, i) for i, j in edges], labels=labels)
+    g = from_edges(n, [(j, i) for i, j in edges], labels=labels)
     ref = {"n": n, "edges": sorted([i, j] for i, j in edges)}
     assert g.to_json() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
     assert g.to_json_obj() == ref and g.edges() == sorted(edges)
@@ -435,28 +439,10 @@ def test_simple_graph_writers_match_references(drawn, labelled):
 @example((130, [(0, 129), (9, 0), (99, 100), (129, 128)]), False)  # rows 10-98 empty
 @settings(max_examples=80, deadline=None)
 def test_directed_graph_writers_match_references(drawn, labelled):
-    from engel_lab.graphs import DirectedGraph
-
     n, arcs = drawn
     labels = [f"v{i}" for i in range(n)] if labelled else None
-    d = DirectedGraph.from_arcs(n, arcs, labels=labels)
+    d = from_arcs(n, arcs, labels=labels)
     ref = {"n": n, "edges": sorted([i, j] for i, j in arcs)}
     assert d.to_json() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
-    assert d.to_json_obj() == ref and d.arcs() == sorted(arcs)
+    assert d.to_json_obj() == ref and pair_list(d.pair_arrays()) == sorted(arcs)
     assert d.to_dot() == _dot_reference("digraph", "->", "G", n, labels, sorted(arcs))
-
-
-@given(_graph_pairs(directed=False))
-@settings(max_examples=60, deadline=None)
-def test_components_count_matches_networkx(drawn):
-    n, edges = drawn
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(n))
-    nxg.add_edges_from(edges)
-    assert SimpleGraph.from_edges(n, edges).n_components() == nx.number_connected_components(nxg)
-
-
-def test_components_count():
-    g = SimpleGraph.from_edges(5, [(0, 1), (2, 3)])
-    assert g.n_components() == 3
-    assert complete_multipartite_graph([2, 2]).n_components() == 1

@@ -16,7 +16,7 @@ from engel_lab.engel import engel_relation, validate_left_engel_baer
 from engel_lab.verify import _soluble_catalog
 
 import oracles
-from oracles import name_index
+from oracles import EngelVerdict, engel_verdict, name_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import groupmodel  # noqa: E402
@@ -24,7 +24,7 @@ import groupmodel  # noqa: E402
 
 def _verdict(spec, xname, yname):
     g = el.build_group(spec)
-    return el.engel_verdict(g, name_index(g, xname), name_index(g, yname))
+    return engel_verdict(g, name_index(g, xname), name_index(g, yname))
 
 
 # --- engel_verdict
@@ -33,23 +33,23 @@ def _verdict(spec, xname, yname):
 def test_verdict_self_terminates_at_one():
     g = el.build_group("D:24")
     for x in (0, 5, 13, 20):
-        v = el.engel_verdict(g, x, x)
+        v = engel_verdict(g, x, x)
         assert v.terminates and v.first_k == 1
 
 
 def test_verdict_d24_congruent_reflections():
     # x*y^i vs x*y^j with i = j mod 3 terminate (oracle-frozen minimal k)
-    assert _verdict("D:24", "x", "x*y^3") == el.EngelVerdict(True, first_k=2)
-    assert _verdict("D:24", "x", "x*y^6") == el.EngelVerdict(True, first_k=1)
-    assert _verdict("D:24", "x", "x*y^9") == el.EngelVerdict(True, first_k=2)
-    assert _verdict("D:24", "x*y^3", "x*y^6") == el.EngelVerdict(True, first_k=2)
+    assert _verdict("D:24", "x", "x*y^3") == EngelVerdict(True, first_k=2)
+    assert _verdict("D:24", "x", "x*y^6") == EngelVerdict(True, first_k=1)
+    assert _verdict("D:24", "x", "x*y^9") == EngelVerdict(True, first_k=2)
+    assert _verdict("D:24", "x*y^3", "x*y^6") == EngelVerdict(True, first_k=2)
 
 
 def test_verdict_d24_incongruent_reflections_cycle():
     # i != j mod 3: never terminates; the tail is a fixed point (oracle-frozen)
-    assert _verdict("D:24", "x", "x*y") == el.EngelVerdict(False, cycle_length=1)
-    assert _verdict("D:24", "x", "x*y^2") == el.EngelVerdict(False, cycle_length=1)
-    assert _verdict("D:24", "x*y", "x*y^5") == el.EngelVerdict(False, cycle_length=1)
+    assert _verdict("D:24", "x", "x*y") == EngelVerdict(False, cycle_length=1)
+    assert _verdict("D:24", "x", "x*y^2") == EngelVerdict(False, cycle_length=1)
+    assert _verdict("D:24", "x*y", "x*y^5") == EngelVerdict(False, cycle_length=1)
 
 
 def test_verdict_matches_oracle_exhaustive_d24():
@@ -60,7 +60,7 @@ def test_verdict_matches_oracle_exhaustive_d24():
             pa = (a // 12, a % 12)
             pb = (b // 12, b % 12)
             want = model.engel_terminates(pa, pb)
-            got = el.engel_verdict(g, a, b)
+            got = engel_verdict(g, a, b)
             assert got.terminates == (want is not None)
             if want is not None:
                 assert got.first_k == want
@@ -70,7 +70,7 @@ def test_verdict_non_terminating_truly_never_hits_identity():
     # assert over one full cycle past the tail
     g = el.build_group("D:24")
     x, y = name_index(g, "x"), name_index(g, "x*y")
-    v = el.engel_verdict(g, x, y)
+    v = engel_verdict(g, x, y)
     assert not v.terminates
     a = g.commutator(x, y)
     for _ in range(g.order + v.cycle_length):
@@ -83,7 +83,7 @@ def test_verdict_monotone_once_terminated():
     g = el.build_group("Q:24")
     for x in range(0, g.order, 5):
         for y in range(0, g.order, 7):
-            v = el.engel_verdict(g, x, y)
+            v = engel_verdict(g, x, y)
             if v.terminates:
                 a = g.commutator(x, y)
                 for _ in range(v.first_k - 1):
@@ -96,9 +96,9 @@ def test_verdict_monotone_once_terminated():
 
 def test_verdict_requires_exactly_one_field():
     with pytest.raises(ValueError):
-        el.EngelVerdict(True, first_k=1, cycle_length=2)
+        EngelVerdict(True, first_k=1, cycle_length=2)
     with pytest.raises(ValueError):
-        el.EngelVerdict(False)
+        EngelVerdict(False)
 
 
 # --- the Engel relation against the per-pair verdict
@@ -110,7 +110,7 @@ def _assert_relation_matches_verdicts(spec):
     assert rel.shape == (g.order, g.order) and rel.dtype == bool
     for x in range(g.order):
         for y in range(g.order):
-            assert bool(rel[x, y]) == el.engel_verdict(g, x, y).terminates, (spec, x, y)
+            assert bool(rel[x, y]) == engel_verdict(g, x, y).terminates, (spec, x, y)
     # the same matrix when the rows are computed three at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(el.groups, "_BLOCK_ENTRIES", 3 * g.order)
@@ -410,7 +410,7 @@ def test_full_graph_matches_reduced_on_non_engel_part():
     for i, x in enumerate(kept):
         for j, y in enumerate(kept):
             if i != j:
-                assert full.has_edge(x, y) == reduced.has_edge(i, j)
+                assert bool(full.adj[x, y]) == bool(reduced.adj[i, j])
 
 
 def test_reduced_adjacency_matches_oracle_c2xd12():
@@ -427,7 +427,7 @@ def test_reduced_adjacency_matches_oracle_c2xd12():
             v, y = divmod(b, 12)
             pa = (u, (x // 6, x % 6))
             pb = (v, (y // 6, y % 6))
-            assert graph.has_edge(i, j) == model.coengel_adjacent(pa, pb)
+            assert bool(graph.adj[i, j]) == model.coengel_adjacent(pa, pb)
 
 
 # --- directed graphs
@@ -457,8 +457,8 @@ def test_complement_relation_co_engel_vs_directed():
         d = el.directed_engel_graph(g)
         for x in range(g.order):
             for y in range(x + 1, g.order):
-                edge = full.has_edge(x, y)
-                no_arcs = not d.has_arc(x, y) and not d.has_arc(y, x)
+                edge = bool(full.adj[x, y])
+                no_arcs = not bool(d.adj[x, y]) and not bool(d.adj[y, x])
                 assert edge == no_arcs
 
 
@@ -484,7 +484,7 @@ def test_single_arc_pairs_sorted_lexicographically():
 def test_single_arc_pairs_match_pairwise_loop(drawn):
     n, pairs = drawn
     arcs = {(i, j) for i, j in pairs if i != j}
-    d = el.DirectedGraph.from_arcs(n, arcs)
+    d = oracles.from_arcs(n, arcs)
     want = [(x, y) for x in range(n) for y in range(n) if (x, y) in arcs and (y, x) not in arcs]
     assert el.single_arc_pairs(d) == want
 
@@ -497,7 +497,7 @@ def test_single_arcs_outside_L_match_pairwise_loop(spec):
         (x, y)
         for x in range(g.order)
         for y in range(g.order)
-        if x not in lset and y not in lset and d.has_arc(x, y) and not d.has_arc(y, x)
+        if x not in lset and y not in lset and bool(d.adj[x, y]) and not bool(d.adj[y, x])
     ]
     assert el.single_arcs_outside_left_engel(g) == want
 
@@ -522,9 +522,9 @@ def test_dihedral_direction_bullet():
     n = 12
     for x in range(n):
         for y in range(n, 24):
-            assert d.has_arc(x, y)
+            assert bool(d.adj[x, y])
             order = g.element_order(g.commutator(y, x))
-            assert d.has_arc(y, x) == (order & (order - 1) == 0)
+            assert bool(d.adj[y, x]) == (order & (order - 1) == 0)
 
 
 def test_dihedral_double_arc_depths_unbounded():
@@ -539,9 +539,9 @@ def test_dihedral_double_arc_depths_unbounded():
                 order = g.element_order(g.commutator(y, x))
                 if order == 1 or order & (order - 1):
                     continue
-                back = el.engel_verdict(g, y, x)
+                back = engel_verdict(g, y, x)
                 assert back.terminates and back.first_k <= 2
-                fwd = el.engel_verdict(g, x, y)
+                fwd = engel_verdict(g, x, y)
                 assert fwd.terminates and fwd.first_k == order.bit_length()
 
 
@@ -552,7 +552,7 @@ def test_non_terminating_pairs_never_reach_identity_exhaustive():
         g = el.build_group(spec)
         for x in range(g.order):
             for y in range(g.order):
-                v = el.engel_verdict(g, x, y)
+                v = engel_verdict(g, x, y)
                 if v.terminates:
                     continue
                 a = g.commutator(x, y)
@@ -578,7 +578,7 @@ def test_hypercenter_translation_preserves_adjacency(spec):
                 xz, yz = g.mul(x, z1), g.mul(y, z2)
                 assert xz in pos and yz in pos
                 assert xz != yz
-                assert graph.has_edge(pos[xz], pos[yz])
+                assert bool(graph.adj[pos[xz], pos[yz]])
 
 
 # --- determinism / property checks
@@ -591,8 +591,8 @@ def test_verdict_deterministic_and_consistent(data):
     g = el.build_group(spec)
     x = data.draw(st.integers(min_value=0, max_value=g.order - 1))
     y = data.draw(st.integers(min_value=0, max_value=g.order - 1))
-    v1 = el.engel_verdict(g, x, y)
-    v2 = el.engel_verdict(g, x, y)
+    v1 = engel_verdict(g, x, y)
+    v2 = engel_verdict(g, x, y)
     assert v1 == v2
     # cross-check the terminating side by direct iteration
     a = g.commutator(x, y)

@@ -1,8 +1,10 @@
 """Group-core: builders, axioms, commutator machinery, series, isomorphism."""
 
+import ast
 import functools
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,15 +14,11 @@ from hypothesis import strategies as st
 
 import engel_lab as el
 from engel_lab import cli, engel, groups
-from engel_lab.groups import (
-    default_frobenius_residue,
-    derived_series,
-    from_table,
-)
+from engel_lab.groups import default_frobenius_residue, derived_series
 from engel_lab.verify import _soluble_catalog
 
 import oracles
-from oracles import are_isomorphic_small, quotient_iso_check
+from oracles import are_isomorphic_small, from_table, power, quotient_iso_check, validate_group
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layertrace  # noqa: E402
@@ -39,10 +37,15 @@ AXIOM_SWEEP = [
 ]
 
 
+def _center(g):
+    """Z(G) = Z_1; the series stops at Z_0 = 1 when the centre is trivial."""
+    return el.upper_central_series(g)[:2][-1]
+
+
 @pytest.mark.parametrize("spec", AXIOM_SWEEP)
 def test_builder_axioms(spec):
     g = el.build_group(spec)
-    el.validate_group(g)
+    validate_group(g)
 
 
 def test_validate_rejects_broken_table():
@@ -52,13 +55,13 @@ def test_validate_rejects_broken_table():
     broken = from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     object.__setattr__(broken, "table", np.array(rows))
     with pytest.raises(ValueError):
-        el.validate_group(broken)
+        validate_group(broken)
 
 
 def test_validate_sampled_associativity_above_limit():
     g = el.build_group("P:(C:2)x(P:(C:2)x(D:72))")  # order 288 > 200
-    el.validate_group(g)  # sampled path
-    el.validate_group(g, force_exhaustive=True)
+    validate_group(g)  # sampled path
+    validate_group(g, force_exhaustive=True)
 
 
 # --- cyclic
@@ -110,8 +113,8 @@ def test_dihedral_presentation_relations():
         g = el.build_dihedral(two_n)
         x, y = g.generator_index("x"), g.generator_index("y")
         n = two_n // 2
-        assert g.power(y, n) == g.identity
-        assert g.power(x, 2) == g.identity
+        assert power(g, y, n) == g.identity
+        assert power(g, x, 2) == g.identity
         assert g.mul(g.mul(x, y), g.inv(x)) == g.inv(y)
 
 
@@ -140,7 +143,7 @@ def test_quaternion_24_presentation():
     g = el.build_generalized_quaternion(24)
     x, y = g.generator_index("x"), g.generator_index("y")
     assert g.element_order(y) == 12
-    assert g.power(x, 2) == g.power(y, 6)
+    assert power(g, x, 2) == power(g, y, 6)
     assert g.mul(g.mul(x, y), g.inv(x)) == g.inv(y)
 
 
@@ -163,7 +166,7 @@ def test_frobenius_2_3_is_dihedral_6():
 
 def test_frobenius_3_7_center_trivial():
     g = el.build_frobenius(3, 7, 2)
-    assert np.count_nonzero(el.center(g)) == 1
+    assert np.count_nonzero(_center(g)) == 1
     assert g.order == 21
 
 
@@ -301,7 +304,7 @@ def test_conjugate_definition():
     g = el.build_symmetric(4)
     for x in (3, 7, 15):
         for y in (1, 9, 20):
-            assert g.conjugate(x, y) == g.mul(g.mul(g.inv(y), x), y)
+            assert g.mul(x, g.commutator(x, y)) == g.mul(g.mul(g.inv(y), x), y)
 
 
 @pytest.mark.parametrize("spec", AXIOM_SWEEP)
@@ -323,7 +326,7 @@ def test_hypercenter_c3xd6():
     assert np.count_nonzero(z) == 3
     assert el.hypercenter(g) is z and not z.flags.writeable  # shared by callers
     # stabilises at C3 x {1}: all members commute with everything
-    assert el.center(g)[z].all()
+    assert _center(g)[z].all()
 
 
 def test_hypercenter_of_nilpotent_is_whole_group():
@@ -410,6 +413,86 @@ def test_no_broadcast_gathers_in_the_package():
     assert found == []
 
 
+# Public names kept although nothing in src/ or bench/ may call them, each
+# with its reason; every other public name must have a caller there.
+KEPT_PUBLIC = {
+    "mul": "documented scalar accessor of FiniteGroup",
+    "inv": "documented scalar accessor of FiniteGroup",
+    "commutator": "documented scalar accessor of FiniteGroup",
+    "element_order": "documented scalar accessor of FiniteGroup",
+    "generator_index": "documented scalar accessor of FiniteGroup",
+    "order_census": "documented scalar accessor of FiniteGroup",
+    "to_json_obj": "the JSON document of a graph, report or record as a dict",
+}
+
+
+def _public_definitions(tree):
+    """(definition, is_method) for each public module-level function or
+    class and each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield sub, True
+
+
+def _names_read(tree, attributes_only):
+    """Counts of the identifiers a syntax tree reads: attribute names and
+    string constants (as in ``getattr`` tables), and unless
+    ``attributes_only`` also plain and imported names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+        elif isinstance(node, ast.Name) and not attributes_only:
+            out[node.id] += 1
+        elif isinstance(node, ast.alias) and not attributes_only:
+            out[node.name] += 1
+    return out
+
+
+def test_every_public_name_in_the_package_has_a_caller():
+    # a name only tests use belongs in tests/oracles.py or in the test; the
+    # package's re-exports in __init__ are not callers, and a method is
+    # called only through an attribute
+    package = Path(groups.__file__).parent
+    bench = Path(layertrace.__file__).parent
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted(package.glob("*.py")) + sorted(bench.glob("*.py"))}
+    init = trees[package / "__init__.py"]
+    init.body = [n for n in init.body if not isinstance(n, ast.ImportFrom)]
+    read = {kind: sum((_names_read(t, kind) for t in trees.values()), Counter())
+            for kind in (False, True)}
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node, is_method in _public_definitions(trees[path])
+        if node.name not in KEPT_PUBLIC
+        and read[is_method][node.name] == _names_read(node, is_method)[node.name]
+    ]
+    assert unused == []
+
+
+def test_what_the_benchmark_reads_is_kept():
+    # bench/ reads these names and changes apart from the package
+    from engel_lab import spectra, verify
+
+    names = ("left_engel_set", "build_group", "closed_form_spectra", "MultipartiteShape",
+             "zagreb_closed_form")
+    assert all(callable(getattr(el, name)) for name in names)
+    assert all(map(callable, (cli.spectrum_report, verify.all_claims, verify.build_group,
+                              spectra.char_poly_exact)))
+    g = el.build_group("D:6")
+    d, r = el.directed_engel_graph(g), el.reduced_co_engel_graph(g)
+    assert (d.n, d.n_arcs(), r.n, r.n_edges()) == (6, 18, 3, 3)
+    for builder in (el.co_engel_graph, el.reduced_co_engel_graph, el.directed_engel_graph):
+        assert callable(builder.cache_info)
+
+
 def test_d12_hypercenter_order_two():
     assert np.count_nonzero(el.hypercenter(el.build_dihedral(12))) == 2
 
@@ -482,7 +565,7 @@ def test_d12_not_isomorphic_q12():
 @settings(max_examples=25, deadline=None)
 def test_cyclic_orders_property(n):
     g = el.build_cyclic(n)
-    el.validate_group(g)
+    validate_group(g)
     import math
 
     assert all(g.element_order(a) == n // math.gcd(a, n) for a in range(1, n))
@@ -492,7 +575,7 @@ def test_cyclic_orders_property(n):
 @settings(max_examples=25, deadline=None)
 def test_dihedral_structure_property(n):
     g = el.build_dihedral(2 * n)
-    el.validate_group(g)
+    validate_group(g)
     # reflections all have order 2; rotations have the cyclic orders
     assert all(g.element_order(n + i) == 2 for i in range(n))
 
@@ -609,7 +692,7 @@ def _model_structure(spec):
 
 def _structure(g):
     return {
-        "center": np.flatnonzero(el.center(g)).tolist(),
+        "center": np.flatnonzero(_center(g)).tolist(),
         "upper_central_series": [np.flatnonzero(z).tolist() for z in el.upper_central_series(g)],
         "order_census": g.order_census(),
         "left_engel_set": sorted(el.left_engel_set(g)),
@@ -618,7 +701,7 @@ def _structure(g):
 
 def _is_normal_by_definition(g, sub):
     members = np.flatnonzero(sub).tolist()
-    return all(sub[g.conjugate(x, a)] for x in members for a in range(g.order))
+    return all(sub[g.mul(x, g.commutator(x, a))] for x in members for a in range(g.order))
 
 
 @given(spec=st.sampled_from(_soluble_catalog(48) + ["A:5", "S:5"]), data=st.data())
@@ -629,7 +712,7 @@ def test_structure_matches_model_group(spec, data):
     want = _model_structure(spec)
     candidates = (
         el.subgroup_generated(g, [x]),
-        el.center(g),
+        _center(g),
         derived_series(g)[-1],
         np.isin(np.arange(g.order), [g.identity, x]),
     )
@@ -681,7 +764,7 @@ def test_closures_and_series_in_narrow_table_dtypes(spec, rows, monkeypatch):
     want = t[t[t[inv[None, :], inv[:, None]], a[None, :]], a[:, None]]  # [a, y] at [y, a]
     assert np.array_equal(groups.commutator_map.__wrapped__(g), want)
     for m in (2, 3, g.order - 1):
-        assert groups.powers(g, m).tolist() == [g.power(x, m) for x in range(g.order)]
+        assert groups.powers(g, m).tolist() == [power(g, x, m) for x in range(g.order)]
     last = g.order - 1
     for seeds in ([last], [1, last], [g.order // 2 + 1, last]):
         assert np.flatnonzero(el.subgroup_generated(g, seeds)).tolist() == (
@@ -712,10 +795,10 @@ POWER_SPECS = ["C:1", "C:12", "D:24", "Q:16", "F:3:7", "A:4", "S:4", "A:5", "P:(
 def test_powers_match_the_scalar_power(spec):
     g = el.build_group(spec)
     for m in (0, 1, 2, g.order - 1, g.order):
-        assert groups.powers(g, m).tolist() == [g.power(x, m) for x in range(g.order)], m
+        assert groups.powers(g, m).tolist() == [power(g, x, m) for x in range(g.order)], m
     # on an index array, entry by entry in its own shape
     x = np.array([[g.order - 1, 0], [g.identity, g.order // 2]])
-    assert groups.powers(g, 5, x).tolist() == [[g.power(int(a), 5) for a in row] for row in x]
+    assert groups.powers(g, 5, x).tolist() == [[power(g, int(a), 5) for a in row] for row in x]
     with pytest.raises(ValueError, match="m >= 0"):
         groups.powers(g, -1)
 
@@ -724,7 +807,7 @@ def test_powers_match_the_scalar_power(spec):
 @settings(max_examples=40, deadline=None)
 def test_powers_match_the_scalar_power_property(spec, m):
     g = el.build_group(spec)
-    assert groups.powers(g, m).tolist() == [g.power(x, m) for x in range(g.order)]
+    assert groups.powers(g, m).tolist() == [power(g, x, m) for x in range(g.order)]
 
 
 def test_table_and_inverse_are_read_only():
@@ -747,10 +830,63 @@ def test_from_table_rejects_out_of_range_entries(n, offset):
         from_table(rows.tolist())
 
 
+def test_from_table_without_identity():
+    # every row is the identity map and every element idempotent, but no
+    # column is the identity map: each x is only a left identity
+    with pytest.raises(ValueError, match=r"^table for group has no identity element$"):
+        from_table([[0, 1, 2]] * 3)
+
+
+def test_from_table_with_an_element_without_inverse(monkeypatch):
+    # a monoid whose identity 2 follows the idempotents 0 and 1; 0 absorbs
+    with pytest.raises(ValueError, match=r"^element 0 of group has no inverse$"):
+        from_table([[0, 0, 0], [0, 1, 1], [0, 1, 2]])
+    # 2 absorbs; with one-row blocks its row is the third block
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 3)
+    with pytest.raises(ValueError, match=r"^element 2 of group has no inverse$"):
+        from_table([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+
+
+def test_from_table_finds_an_identity_not_at_index_zero():
+    # a * b = a + b + 1 mod 3: a copy of C_3 whose identity is 2 = -1
+    g = from_table([[(a + b + 1) % 3 for b in range(3)] for a in range(3)])
+    assert g.identity == 2 and g.inverse.tolist() == [1, 0, 2]
+
+
+@given(spec=st.sampled_from(["C:1", "C:5", "S:3", "D:8", "Q:8", "A:4"]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_finalize_matches_the_whole_table_search(spec, data):
+    # relabelling puts the identity anywhere, overwritten entries can leave
+    # no identity or an element without inverse, and short row blocks put
+    # the first such element in a later block
+    g = el.build_group(spec)
+    n = g.order
+    perm = np.array(data.draw(st.permutations(range(n))))
+    rows = np.empty((n, n), dtype=int)
+    rows[perm[:, None], perm[None, :]] = perm[g.table]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        rows[i, j] = k
+    try:
+        identity, inverse = oracles.identity_and_inverse_whole_table(rows, "T")
+        want = (identity, inverse.tolist())
+    except ValueError as exc:
+        want = str(exc)
+    block_rows = data.draw(st.sampled_from([1, 2, n]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_BLOCK_ENTRIES", block_rows * n)
+        try:
+            h = from_table(rows, label="T")
+            got = (h.identity, h.inverse.tolist())
+        except ValueError as exc:
+            got = str(exc)
+    assert got == want
+
+
 def test_scalar_accessors_return_python_ints(capsys):
     g = el.build_group("S:4")
     values = [
-        g.identity, g.mul(3, 5), g.inv(3), g.commutator(3, 5), g.conjugate(3, 5),
+        g.identity, g.mul(3, 5), g.inv(3), g.commutator(3, 5),
         g.element_order(3), *g.order_census().items(),
     ]
     flat = [v for item in values for v in (item if isinstance(item, tuple) else (item,))]
@@ -786,4 +922,4 @@ def test_mask_arguments_must_be_bool_masks_of_the_group(bad):
 def test_mask_helpers_refuse_the_other_argument_kind():
     g = el.build_group("S:4")
     with pytest.raises(ValueError, match="not a mask"):
-        el.subgroup_generated(g, el.center(g))
+        el.subgroup_generated(g, _center(g))

@@ -10,18 +10,22 @@ from hypothesis import strategies as st
 
 import engel_lab as el
 from engel_lab.analysis import MultipartiteShape
-from engel_lab.graphs import SimpleGraph, complete_multipartite_graph
 from engel_lab.topology import (
     CLASS_GENUS_5_PLUS,
     CLASS_PLANAR,
     CLASS_TOROIDAL,
     CLASS_TRIPLE,
     CLASS_UNKNOWN,
-    _surface_from_shape,
     classification_from_genus,
+    surface_class,
 )
 
 import oracles
+from oracles import complete_multipartite_graph, from_edges
+
+
+def _shape(spec):
+    return el.recognize_complete_multipartite(el.reduced_co_engel_graph(el.build_group(spec)))
 
 
 # --- genus formulas (paper-stated values)
@@ -149,7 +153,7 @@ def test_classification_from_genus_labels():
 def test_surface_class_dihedral_2m():
     expect = {3: CLASS_PLANAR, 5: CLASS_TOROIDAL, 7: CLASS_TOROIDAL, 9: CLASS_TRIPLE, 11: CLASS_GENUS_5_PLUS}
     for m, what in expect.items():
-        sc = el.surface_class_of_reduced(el.build_group(f"D:{2 * m}"))
+        sc = surface_class(_shape(f"D:{2 * m}"))
         assert sc.classification == what, m
 
 
@@ -167,7 +171,7 @@ def test_surface_class_dq_family():
     for (t, m), what in cases.items():
         order = 2 ** (t + 1) * m
         for fam in ("D", "Q"):
-            sc = el.surface_class_of_reduced(el.build_group(f"{fam}:{order}"))
+            sc = surface_class(_shape(f"{fam}:{order}"))
             assert sc.classification == what, (fam, t, m)
 
 
@@ -181,12 +185,12 @@ def test_surface_class_frobenius_family():
         (5, 11): CLASS_GENUS_5_PLUS,
     }
     for (p, q), what in cases.items():
-        sc = el.surface_class_of_reduced(el.build_group(f"F:{p}:{q}"))
+        sc = surface_class(_shape(f"F:{p}:{q}"))
         assert sc.classification == what, (p, q)
 
 
 def test_surface_class_a4_curated_toroidal():
-    sc = el.surface_class_of_reduced(el.build_group("A:4"))
+    sc = surface_class(_shape("A:4"))
     assert sc.genus == 1 and sc.classification == CLASS_TOROIDAL
     assert sc.projective is False
     # independent confirmation that the curated genus is >= 1
@@ -194,13 +198,13 @@ def test_surface_class_a4_curated_toroidal():
 
 
 def test_surface_class_c3xd6_toroidal():
-    sc = el.surface_class_of_reduced(el.build_group("P:(C:3)x(D:6)"))
+    sc = surface_class(_shape("P:(C:3)x(D:6)"))
     assert sc.genus == 1 and sc.classification == CLASS_TOROIDAL
     assert sc.projective is False
 
 
 def test_surface_class_d14_toroidal():
-    sc = el.surface_class_of_reduced(el.build_group("D:14"))
+    sc = surface_class(_shape("D:14"))
     assert sc.classification == CLASS_TOROIDAL
     assert sc.crosscap == 3  # K_7 exceptional crosscap
 
@@ -215,20 +219,20 @@ def test_no_double_toroidal_in_families():
     ]
     specs += [f"F:{p}:{q}" for p, q in ((2, 3), (2, 5), (2, 7), (3, 7), (3, 13), (5, 11))]
     for spec in specs:
-        sc = el.surface_class_of_reduced(el.build_group(spec))
+        sc = surface_class(_shape(spec))
         assert sc.classification != "double-toroidal", spec
 
 
 def test_projective_classification():
-    assert el.surface_class_of_reduced(el.build_group("D:6")).projective is True
-    assert el.surface_class_of_reduced(el.build_group("D:12")).projective is True
-    assert el.surface_class_of_reduced(el.build_group("Q:12")).projective is True
-    assert el.surface_class_of_reduced(el.build_group("A:4")).projective is False
-    assert el.surface_class_of_reduced(el.build_group("P:(C:3)x(D:6)")).projective is False
+    assert surface_class(_shape("D:6")).projective is True
+    assert surface_class(_shape("D:12")).projective is True
+    assert surface_class(_shape("Q:12")).projective is True
+    assert surface_class(_shape("A:4")).projective is False
+    assert surface_class(_shape("P:(C:3)x(D:6)")).projective is False
 
 
 def test_surface_class_unknown_for_unrecognized():
-    sc = el.surface_class_of_reduced(el.build_group("S:4"))
+    sc = surface_class(_shape("S:4"))
     assert sc.classification == CLASS_UNKNOWN and sc.genus is None
 
 
@@ -250,7 +254,7 @@ def test_surface_from_shape_matches_golden_on_every_small_partition():
     shapes = [p for n in range(1, 13) for p in _partitions(n, n) if len(p) > 1 or p == (1,)]
     assert [tuple(row["parts"]) for row in golden] == shapes
     for row in golden:
-        sc = _surface_from_shape(MultipartiteShape(tuple(row["parts"])))
+        sc = surface_class(MultipartiteShape(tuple(row["parts"])))
         got = [sc.genus, sc.crosscap, sc.classification, sc.projective]
         assert got == [row[k] for k in ("genus", "crosscap", "classification", "projective")], row
 
@@ -267,7 +271,7 @@ def test_planar_implies_genus_zero_on_family_sweep():
     specs += ["F:2:5", "F:3:7", "P:(C:3)x(D:6)"]
     for spec in specs:
         graph = el.reduced_co_engel_graph(el.build_group(spec))
-        sc = el.surface_class_of_reduced(el.build_group(spec))
+        sc = surface_class(_shape(spec))
         if not el.is_planar(graph):
             assert sc.genus >= 1, spec
         else:
@@ -292,7 +296,7 @@ def test_zagreb_k32_frozen():
 def test_zagreb_matches_brute_force_on_random_graphs(drawn):
     n, pairs = drawn
     edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
-    zr = el.zagreb_report(SimpleGraph.from_edges(n, edges))
+    zr = el.zagreb_report(from_edges(n, edges))
     assert (zr.m1, zr.m2, zr.e_count) == (*oracles.brute_zagreb(n, edges), len(edges))
     assert type(zr.m1) is int and type(zr.m2) is int
 
@@ -302,7 +306,7 @@ def test_zagreb_closed_form_trivial():
 
 
 def test_zagreb_edgeless():
-    zr = el.zagreb_report(SimpleGraph.from_edges(4, []))
+    zr = el.zagreb_report(from_edges(4, []))
     assert zr.m1 == 0 and zr.m2 == 0
     assert zr.hv_lhs is None and zr.hv_holds is None
 
@@ -347,6 +351,6 @@ def test_zagreb_matches_brute_force(data):
     n = data.draw(st.integers(min_value=1, max_value=8))
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for p in pairs if data.draw(st.booleans())]
-    graph = SimpleGraph.from_edges(n, edges)
+    graph = from_edges(n, edges)
     zr = el.zagreb_report(graph)
     assert (zr.m1, zr.m2) == oracles.brute_zagreb(n, edges)
