@@ -4,11 +4,13 @@ Every group is a fully materialised Cayley table plus canonical element names,
 so downstream computations reduce to exact table arithmetic.  ``table`` and
 ``inverse`` are read-only numpy arrays of dtype ``np.min_scalar_type(order)``.
 Each builder gives its table as one broadcast expression of row and column
-indices; a permutation group's is one integer product of the permutations
-with a weight matrix, which gives each product's base-k code, and a dense
-lookup from codes to indices.  The structure functions (series, normality,
-closure) are array expressions over the table and the commutator map
-``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
+indices: D_2h, Q_2h and F(p,q) through the metacyclic presentation
+<a, b : b^n = 1, a^m = b^s, a^-1 b a = b^r> with (n, m, r, s) = (h, 2, h-1, 0),
+(h, 2, h-1, h/2) and (q, p, r, 0), and a permutation group through one integer
+product of the permutations with a weight matrix (each product's base-k code)
+and a dense lookup from codes to indices.  The structure functions (series,
+normality, closure) are array expressions over the table and the commutator
+map ``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
 whose commutator map also gives the subgroup's own series.  ``powers`` takes
 every element to the m-th power by repeated squaring, and element orders and
 prime-order cosets come from a few such powers per prime dividing the order.
@@ -208,8 +210,9 @@ def _finalize(
     label: str,
 ) -> FiniteGroup:
     """The group whose table is ``product(u, v)`` for a column u of row indices
-    and a row v of column indices (intp); rows are filled in blocks, narrowed
-    to ``np.min_scalar_type(order)``.  The identity is the first idempotent
+    and the row v of all column indices in order, 0..order-1 (intp; a product
+    may rely on getting every column); rows are filled in blocks, narrowed to
+    ``np.min_scalar_type(order)``.  The identity is the first idempotent
     whose row and column are both identity maps, and inverses are found one
     row block at a time, so no n x n temporary is made."""
     table = np.empty((order, order), dtype=np.min_scalar_type(order))
@@ -250,16 +253,24 @@ def _power_name(base: str, i: int) -> str:
     return "e" if i == 0 else base if i == 1 else f"{base}^{i}"
 
 
-def _rotation_reflection(h: int, t: int, label: str) -> FiniteGroup:
-    """<x, y : y^h = 1, x^2 = y^t, x y x^-1 = y^-1> with x^r y^a at index r*h + a."""
+def _metacyclic(n: int, m: int, r: int, s: int, top: str, bottom: str, label: str) -> FiniteGroup:
+    """<a, b : b^n = 1, a^m = b^s, a^-1 b a = b^r> (of order nm when r^m = 1
+    and s(r - 1) = 0 mod n), a named ``top`` and b ``bottom``; a^i b^j is at
+    index i*n + j and named top^i*bottom^j, and a = b^s when m = 1."""
+    rpow, coset, w = np.array([pow(r, j, n) for j in range(m)]), np.arange(m), np.arange(n)
 
     def product(u, v):
-        (r1, a), (r2, b) = np.divmod(u, h), np.divmod(v, h)
-        return (r1 ^ r2) * h + np.where(r2 == 0, a + b, b - a + t * r1) % h
+        # a^i b^t * a^j b^w = a^((i+j) mod m) b^((c + w) mod n), c = t r^j + s [i+j >= m]:
+        # one shift per row and coset a^j, since v is every column in order
+        k = u // n + coset
+        c = u % n * rpow + s * (k >= m)
+        return ((c[..., None] + w) % n + (k % m * n)[..., None]).reshape(len(u), -1)
 
-    names = [_power_name("y", i) for i in range(h)]
-    names += ["x" if i == 0 else f"x*{_power_name('y', i)}" for i in range(h)]
-    return _finalize(2 * h, product, names, [("x", h), ("y", 1)], label)
+    tops = [_power_name(top, i) for i in range(m)]
+    bottoms = [_power_name(bottom, j) for j in range(n)]
+    names = [f"{x}*{y}" if i and j else x if i else y
+             for i, x in enumerate(tops) for j, y in enumerate(bottoms)]
+    return _finalize(n * m, product, names, [(top, n if m > 1 else s), (bottom, 1 % n)], label)
 
 
 def build_dihedral(two_n: int) -> FiniteGroup:
@@ -267,7 +278,8 @@ def build_dihedral(two_n: int) -> FiniteGroup:
     then x*y^0..x*y^(n-1)."""
     if two_n < 4 or two_n % 2:
         raise ValueError(f"dihedral order must be even and >= 4, got {two_n}")
-    return _rotation_reflection(two_n // 2, 0, f"D_{two_n}")
+    h = two_n // 2
+    return _metacyclic(h, 2, h - 1, 0, "x", "y", f"D_{two_n}")
 
 
 def build_generalized_quaternion(four_n: int) -> FiniteGroup:
@@ -276,7 +288,8 @@ def build_generalized_quaternion(four_n: int) -> FiniteGroup:
     if four_n < 8 or four_n % 4:
         raise ValueError(f"generalized quaternion order must be a multiple of 4 and >= 8, "
                          f"got {four_n}")
-    return _rotation_reflection(four_n // 2, four_n // 4, f"Q_{four_n}")
+    h = four_n // 2
+    return _metacyclic(h, 2, h - 1, h // 2, "x", "y", f"Q_{four_n}")
 
 
 def _is_prime(n: int) -> bool:
@@ -291,37 +304,20 @@ def default_frobenius_residue(p: int, q: int) -> int:
     raise ValueError(f"no residue of order {p} mod {q}")
 
 
-def _resolve_frobenius_residue(p: int, q: int, r: Optional[int]) -> int:
-    if not _is_prime(p) or not _is_prime(q):
-        raise ValueError(f"p and q must be prime, got ({p}, {q})")
-    if q % p != 1:
-        raise ValueError(f"need q = 1 mod p, got q={q}, p={p}")
-    if r is None:
-        return default_frobenius_residue(p, q)
-    if not (2 <= r < q) or pow(r, p, q) != 1:
-        raise ValueError(f"invalid residue r={r}: need 2 <= r < q and r^p = 1 mod q")
-    return r
-
-
 def build_frobenius(p: int, q: int, r: Optional[int] = None) -> FiniteGroup:
     """F_{p,q} = <a, b : a^p = b^q = 1, a^-1 b a = b^r> of order pq.
 
     Elements are a^i b^j enumerated with index i*q + j.
     """
-    r = _resolve_frobenius_residue(p, q, r)
-    names = [
-        "*".join(w for w in (_power_name("a", i), _power_name("b", j)) if w != "e") or "e"
-        for i in range(p)
-        for j in range(q)
-    ]
-    rpow = np.array([pow(r, j, q) for j in range(p)])
-
-    def product(u, v):
-        # a^i b^t * a^j b^s = a^(i+j) b^(s + t r^j)
-        (i, t), (j, s) = np.divmod(u, q), np.divmod(v, q)
-        return (i + j) % p * q + (s + t * rpow[j]) % q
-
-    return _finalize(p * q, product, names, [("a", q), ("b", 1)], f"F({p},{q})")
+    if not _is_prime(p) or not _is_prime(q):
+        raise ValueError(f"p and q must be prime, got ({p}, {q})")
+    if q % p != 1:
+        raise ValueError(f"need q = 1 mod p, got q={q}, p={p}")
+    if r is None:
+        r = default_frobenius_residue(p, q)
+    elif not (2 <= r < q) or pow(r, p, q) != 1:
+        raise ValueError(f"invalid residue r={r}: need 2 <= r < q and r^p = 1 mod q")
+    return _metacyclic(q, p, r, 0, "a", "b", f"F({p},{q})")
 
 
 def _cycle_name(p: Sequence[int]) -> str:

@@ -36,6 +36,7 @@ _BUILDERS = {
     "A": groups.build_alternating,
 }
 
+_ORDER_LIMIT = 5040  # S_7's uint16 table is 51 MB; S_8's would be 3.3 GB
 _PARAM_COUNT = {"C": (1, 1), "D": (1, 1), "Q": (1, 1), "F": (2, 3), "S": (1, 1), "A": (1, 1)}
 
 
@@ -142,9 +143,12 @@ def _build_cached(canonical: str) -> FiniteGroup:
 
 
 def build_group(spec: GroupSpec | str) -> FiniteGroup:
-    """Build the group named by a spec (memoised on its canonical string)."""
+    """Build the group named by a spec (memoised on its canonical string); an
+    order above ``_ORDER_LIMIT`` is refused before any table is allocated."""
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
+    if spec.order() > _ORDER_LIMIT:
+        raise GroupSpecError(f"{spec} has order {spec.order()}, above the limit {_ORDER_LIMIT}")
     try:
         return _build_cached(spec.canonical())
     except GroupSpecError:

@@ -228,6 +228,23 @@ def model_frobenius(p, q, r):
     return ModelGroup([(i, j) for i in range(p) for j in range(q)], mul)
 
 
+def model_metacyclic(n, m, r, s):
+    """<a, b : b^n = 1, a^m = b^s, a^-1 b a = b^r> on the normal forms a^i b^j
+    as (i, j), multiplied on the right one generator at a time: b^t a is
+    a b^(tr), and a^m is b^s."""
+    def times_a(x):
+        i, t = x
+        return ((i + 1) % m, (t * r + (s if i + 1 == m else 0)) % n)
+
+    def mul(u, v):
+        j, w = v
+        for _ in range(j):
+            u = times_a(u)
+        return (u[0], (u[1] + w) % n)
+
+    return ModelGroup([(i, j) for i in range(m) for j in range(n)], mul)
+
+
 # ---------------------------------------------------------------------------
 # graph oracles (graphs given as (n, set of frozenset pairs))
 

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import re
 import sys
 from collections import Counter
@@ -636,11 +637,66 @@ def _model(spec):
     return build[s.family](*s.params)
 
 
+def _word(*powers):
+    """top^i*bottom^j from (base, exponent) pairs, with trivial powers
+    dropped; e when all are."""
+    return "*".join(b if k == 1 else f"{b}^{k}" for b, k in powers if k) or "e"
+
+
+def _cycles(p):
+    """Cycle notation on points 1..k, each cycle from its least point."""
+    seen, out = set(), ""
+    for start in range(len(p)):
+        cyc, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cyc.append(x + 1)
+            x = p[x]
+        if len(cyc) > 1:
+            out += "(" + ",".join(map(str, cyc)) + ")"
+    return out or "e"
+
+
+def _product_words(g, h):
+    # every family's identity is its element 0
+    (g_names, g_gens, g_label), (h_names, h_gens, h_label) = g, h
+    k = len(h_names)
+    gens = [(name, i * k) for name, i in g_gens]
+    for name, j in h_gens:
+        while name in {x for x, _ in gens}:
+            name += "'"
+        gens.append((name, j))
+    names = [f"({a},{b})" for a in g_names for b in h_names]
+    return names, gens, f"{g_label} x {h_label}"
+
+
+def _model_words(spec):
+    """(element names, generators, label) of a spec in the model's element
+    order: words top^i*bottom^j in the generators of the presentation,
+    cycle notation for permutations, pairs of names for products."""
+    s = el.parse_group_spec(spec) if isinstance(spec, str) else spec
+    if s.family == "P":
+        return functools.reduce(_product_words, map(_model_words, s.factors))
+    n = s.params[0]
+    if s.family == "C":
+        return [_word(("g", i)) for i in range(n)], [("g", 1)] if n > 1 else [], f"C{n}"
+    if s.family in "DQ":
+        h = n // 2
+        names = [_word(("x", i), ("y", j)) for i in range(2) for j in range(h)]
+        return names, [("x", h), ("y", 1)], f"{s.family}_{n}"
+    if s.family == "F":
+        p, q = s.params[:2]
+        names = [_word(("a", i), ("b", j)) for i in range(p) for j in range(q)]
+        return names, [("a", q), ("b", 1)], f"F({p},{q})"
+    return [_cycles(x) for x in _model(s).elements], [], f"{s.family}{n}"
+
+
 @pytest.mark.parametrize(
     "spec",
     [
-        "C:12", "D:4", "D:12", "D:30", "Q:8", "Q:24", "S:4", "S:5", "A:4", "A:5",
-        "F:3:13:9", "F:5:11:4", "P:(S:3)x(Q:8)",
+        "C:12", "D:4", "D:6", "D:10", "D:12", "D:30", "Q:8", "Q:12", "Q:20", "Q:24",
+        "S:4", "S:5", "A:4", "A:5", "F:2:3", "F:3:7:4", "F:3:13:9", "F:5:11:4", "F:7:43",
+        "P:(S:3)x(Q:8)",
     ],
 )
 def test_builder_matches_model_group(spec):
@@ -652,10 +708,54 @@ def test_builder_matches_model_group(spec):
     assert np.array_equal(g.table, want)
     assert g.identity == index[model.identity]
     assert np.array_equal(g.inverse, [index[model.inv(x)] for x in model.elements])
+    names, gens, label = _model_words(spec)
+    assert g.element_names == tuple(names)
+    assert g.generators == tuple(gens)
+    assert g.label == label
     # the same table when its rows are filled three at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_BLOCK_ENTRIES", 3 * g.order)
         assert np.array_equal(el.specs._build_cached.__wrapped__(spec).table, g.table)
+
+
+# every (n, m, r, s) with nm <= 60 whose presentation has order nm
+METACYCLIC = [
+    (n, m, r, s)
+    for n in range(1, 61) for m in range(1, 60 // n + 1) for r in range(n) for s in range(n)
+    if pow(r, m, n) == 1 % n and s * (r - 1) % n == 0
+]
+
+
+@given(params=st.sampled_from(METACYCLIC))
+@settings(max_examples=80, deadline=None)
+def test_metacyclic_matches_the_one_generator_model(params):
+    n, m, r, s = params
+    g = groups._metacyclic(n, m, r, s, "a", "b", "M")
+    validate_group(g, force_exhaustive=True)
+    model = oracles.model_metacyclic(n, m, r, s)
+    index = {x: i for i, x in enumerate(model.elements)}
+    want = [[index[model.mul(x, y)] for y in model.elements] for x in model.elements]
+    assert np.array_equal(g.table, want)
+    assert g.identity == index[model.identity] == 0
+    a, b = (1 % m, s if m == 1 else 0), (0, 1 % n)
+    assert g.generators == (("a", index[a]), ("b", index[b]))
+
+
+def test_cyclic_and_metacyclic_builds_are_pinned():
+    # tables, identities, inverses, generators, names and labels of 768 C, D,
+    # Q and F groups; the digest was taken from the per-family dihedral,
+    # quaternion and Frobenius builders that preceded the metacyclic one
+    specs = [s for s in _soluble_catalog(400) if s[0] in "CDQF"]
+    specs += ["F:3:7:2", "F:5:11:4", "F:3:13:9", "F:7:43:4"]
+    assert len(specs) == 768
+    h = hashlib.sha256()
+    for spec in specs:
+        g = el.specs._build_cached.__wrapped__(spec)
+        for part in (spec, str(g.table.dtype), g.table.tobytes(), str(g.identity),
+                     str(g.inverse.dtype), g.inverse.tobytes(), repr(g.generators),
+                     repr(g.element_names), g.label):
+            h.update(part if isinstance(part, bytes) else part.encode())
+    assert h.hexdigest() == "d863ed6c8cd0756b14ae3cfdd7a8b799464ae357b522c4e53001f508ab8e02ed"
 
 
 @pytest.mark.parametrize(

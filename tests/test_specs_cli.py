@@ -400,6 +400,21 @@ def test_cli_max_order_is_decided_before_the_build(monkeypatch, capsys):
     assert json.loads(out)["skipped"] == {"reason": "order 100000 exceeds --max-order 10"}
 
 
+@pytest.mark.parametrize("spec", ["C:100000", "D:5042", "P:(S:6)x(D:10)"])
+def test_cli_refuses_orders_above_the_limit_before_the_build(spec, monkeypatch, capsys):
+    # C:100000's table would take about 10 GB; the limit is S:7's order 5040
+    def refuse(*args):
+        raise AssertionError(f"built a table for {spec}")
+
+    monkeypatch.setattr(engel_lab.groups, "_finalize", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["group", spec])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"usage error: {spec} has order ") and "above the limit 5040" in out.err
+
+
 def test_cli_max_order_skips_specs_a_builder_would_refuse(capsys):
     # D:9 is no dihedral group, but its order 9 is read from the spec
     code, out, _ = _run_cli(["graph", "D:9", "--reduced", "--max-order", "5"], capsys)
