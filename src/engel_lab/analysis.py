@@ -1,9 +1,9 @@
 """Structural graph recognition and combinatorial measurements.
 
-Complete-multipartite certification works from non-adjacency classes: the
-graph is K_{n_1,...,n_k} iff "equal or non-adjacent" is an equivalence
-relation, in which case the classes are the parts.  Recognition is one array
-test on the adjacency matrix; only the clique search packs rows into bitsets.
+Both read the twin quotient, the adjacency of one vertex per false-twin class
+(``SimpleGraph.twin_classes``, found once per graph).  The graph is
+K_{n_1,...,n_k} iff the quotient is complete, the classes being the parts; a
+clique meets each class at most once, so ω(G) is the quotient's.
 """
 
 from __future__ import annotations
@@ -50,34 +50,31 @@ class MultipartiteShape:
     def b(self) -> Optional[int]:
         return self.parts[0] if self.is_uniform else None
 
-    @property
-    def n_vertices(self) -> int:
-        return sum(self.parts)
+
+def _quotient_adjacency(g: SimpleGraph) -> np.ndarray:
+    rep = g.twin_classes[0]
+    return g.adj.take(rep, axis=0).take(rep, axis=1)
 
 
 def recognize_complete_multipartite(g: SimpleGraph) -> Optional[MultipartiteShape]:
-    """Some(shape) iff non-adjacency-or-equality is an equivalence relation
-    with completely joined classes; the parts are the class sizes."""
+    """Some(shape) iff the twin quotient is complete; the parts are the class sizes."""
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    nonadj = ~g.adj  # "equal or non-adjacent": a simple graph has no loops
-    # rep[i] is the least vertex equal or non-adjacent to i; the relation is
-    # an equivalence iff it is "same rep", and then rep names i's class
-    rep = nonadj.argmax(axis=1)
-    if not np.array_equal(nonadj, rep[:, None] == rep[None, :]):
+    k = g.twin_classes[0].size
+    if np.count_nonzero(_quotient_adjacency(g)) != k * (k - 1):
         return None
-    parts = np.unique(rep, return_counts=True)[1]
-    return MultipartiteShape(tuple(sorted(parts.tolist(), reverse=True)))
+    return MultipartiteShape(tuple(sorted(g.twin_classes[1].tolist(), reverse=True)))
 
 
 def clique_number(g: SimpleGraph) -> int:
-    """Exact clique number by branch and bound on bitmask candidate sets.
+    """Exact clique number by branch and bound on bitmask candidate sets,
+    run on the twin quotient; ``CLIQUE_VERTEX_LIMIT`` still bounds g.n.
 
-    Vertices are explored in descending-degree order (ties by index) for
-    pruning strength and determinism.  Each node greedily colours its
-    candidates and branches on them in reverse colour order, cutting a
-    branch once its size plus the vertex's colour cannot beat the best clique
-    (Tomita & Seki, DMTCS 2003).
+    Quotient vertices are explored in descending degree order (ties by
+    representative) for pruning strength and determinism.  Each node greedily
+    colours its candidates and branches on them in reverse colour order,
+    cutting a branch once its size plus the vertex's colour cannot beat the
+    best clique (Tomita & Seki, DMTCS 2003).
     """
     if g.n > CLIQUE_VERTEX_LIMIT:
         raise ValueError(
@@ -85,9 +82,10 @@ def clique_number(g: SimpleGraph) -> int:
         )
     if g.n == 0:
         return 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    # adjacency re-indexed to the search order, row i as a bitset of columns
-    packed = np.packbits(g.adj[order][:, order], axis=1, bitorder="little")
+    quotient, rep = _quotient_adjacency(g), g.twin_classes[0]
+    order = np.lexsort((rep, -np.count_nonzero(quotient, axis=1)))
+    # quotient re-indexed to the search order, row i as a bitset of columns
+    packed = np.packbits(quotient[order][:, order], axis=1, bitorder="little")
     rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
     best = 0
 
@@ -115,7 +113,7 @@ def clique_number(g: SimpleGraph) -> int:
                 best = size + 1
             cand &= ~(1 << v)
 
-    expand((1 << g.n) - 1, 0)
+    expand((1 << len(order)) - 1, 0)
     return best
 
 

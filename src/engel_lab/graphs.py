@@ -15,6 +15,7 @@ tails of its pairs.  Accessors return Python ints and bools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,6 +25,12 @@ def pair_list(index: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, int]]:
     """Index arrays (i, j), as from ``np.nonzero``, as a list of int pairs."""
     i, j = index
     return list(zip(i.tolist(), j.tolist()))
+
+
+def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(least row, size) of each class of equal rows, each row one opaque byte string."""
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    return np.unique(keys, return_index=True, return_counts=True)[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +89,10 @@ class SimpleGraph(_Graph):
 
     _DOT = ("graph", "--")
 
-    def degree(self, i: int) -> int:
-        return int(np.count_nonzero(self.adj[i]))
+    @cached_property
+    def twin_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``row_classes`` of the packed rows; equal rows of a loop-free graph are false twins."""
+        return row_classes(np.packbits(self.adj, axis=1))
 
     def n_edges(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2

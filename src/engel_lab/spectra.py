@@ -2,9 +2,9 @@
 
 A matrix reaches the kernel as one integer array.  Its characteristic
 polynomial is computed on its twin quotient: indices whose rows and columns
-agree off the diagonal, with equal diagonal entries (for a graph's A, L and
-Q, its false twins), leave a k x k class matrix B and one known linear
-factor per surplus class member.  det(xI - B) comes from a modular Hessenberg
+agree off the diagonal, with equal diagonal entries (``graphs.row_classes``;
+a graph's false twins), leave a k x k class matrix B and one linear factor
+per surplus class member.  det(xI - B) comes from a modular Hessenberg
 kernel, O(k^3) per prime, modulo 30-bit primes (found once per process) and a
 CRT lift under a proven coefficient bound.  Integer roots come from exact
 trial division up to a given bound, energies from rational arithmetic.  No
@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .analysis import MultipartiteShape
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, row_classes
 
 # `analyze` reports spectra only up to this many reduced vertices n.  On a
 # 2-core x86 host the spectrum report takes 0.03 s on D:384 (n = 192 in
@@ -244,7 +244,8 @@ def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, IntegerSpectrum]:
     """The class matrix B of M's twin classes, and the rest of M's spectrum.
 
     Indices u and v are twins when rows u and v of M agree off the diagonal,
-    so do columns u and v, and M[u, u] = M[v, v]; then M[u, v] = M[v, u] = 0.
+    so do columns u and v, and M[u, u] = M[v, v] (``row_classes`` of the rows
+    of (off, offᵀ, diag)); then M[u, v] = M[v, u] = 0.
     Twins of a graph matrix (A, L = D - A or Q = D + A) are the false twins
     of the graph: non-adjacent vertices with the same neighbourhood.  For a
     class C of s twins with diagonal entry d, the s - 1 vectors e_u - e_v
@@ -257,10 +258,7 @@ def _twin_quotient(m: np.ndarray) -> tuple[np.ndarray, IntegerSpectrum]:
     off = m.copy()
     np.fill_diagonal(off, 0)
     diag = m.diagonal()
-    key = np.ascontiguousarray(np.concatenate((off, off.T, diag[:, None]), axis=1))
-    # one opaque value per row: sorting bytes is far faster than sorting rows
-    rows = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
-    _, rep, size = np.unique(rows, return_index=True, return_counts=True)
+    rep, size = row_classes(np.concatenate((off, off.T, diag[:, None]), axis=1))
     b = off[rep][:, rep] * size
     b[np.diag_indices_from(b)] = diag[rep]
     tail = IntegerSpectrum.merged(zip(diag[rep].tolist(), (size - 1).tolist()))

@@ -615,6 +615,17 @@ def validate(g: SimpleGraph) -> None:
         raise ValueError(f"adjacency not symmetric at ({i[0]},{j[0]})")
 
 
+def blow_up(base, sizes):
+    """Index i of ``base`` replaced by sizes[i] twins: copies of i and j != i
+    meet in base[i][j], each copy keeps base[i][i] on the diagonal, and two
+    copies of one index meet in 0."""
+    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return [
+        [base[i][j] if u == v or i != j else 0 for v, j in enumerate(owner)]
+        for u, i in enumerate(owner)
+    ]
+
+
 def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
     """K_{n_1,...,n_k}: independent parts, all cross-part pairs joined."""
     sizes = list(parts)

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+from engel_lab import graphs
 from engel_lab.analysis import MultipartiteShape
-from engel_lab.graphs import SimpleGraph, pair_list
+from engel_lab.graphs import SimpleGraph, pair_list, row_classes
 from engel_lab.verify import _soluble_catalog
 
 import oracles
@@ -36,7 +37,7 @@ def test_recognition_round_trip(parts):
     shape = el.recognize_complete_multipartite(graph)
     assert shape is not None
     assert shape.parts == tuple(sorted(parts, reverse=True))
-    assert shape.n_vertices == graph.n
+    assert sum(shape.parts) == graph.n
 
 
 def test_recognition_rejects_five_cycle():
@@ -164,6 +165,38 @@ def test_clique_matches_brute_force(data):
     edges = [p for p in pairs if data.draw(st.booleans())]
     graph = from_edges(n, edges)
     assert el.clique_number(graph) == oracles.brute_clique_number(n, edges)
+    if n > 8:
+        return
+    # planted twins: vertex i of the graph becomes sizes[i] false twins
+    sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    blown = SimpleGraph(np.array(oracles.blow_up(graph.adj.tolist(), sizes), dtype=bool))
+    if blown.n <= 12:
+        want = oracles.brute_clique_number(blown.n, blown.edges())
+    else:
+        want = nx.max_weight_clique(nx.from_numpy_array(blown.adj), weight=None)[1]
+    assert el.clique_number(blown) == want == el.clique_number(graph)
+    # the twin classes are the classes of equal rows, each named by its least vertex
+    rep, size = blown.twin_classes
+    counts = np.unique(blown.adj, axis=0, return_counts=True)[1]
+    assert sorted(size.tolist()) == sorted(counts.tolist())
+    for r in rep.tolist():
+        assert np.flatnonzero((blown.adj == blown.adj[r]).all(axis=1))[0] == r
+
+
+def test_one_graph_finds_its_twin_classes_once(monkeypatch):
+    # cmd_analyze recognises its graph twice: the second reads the cached classes
+    calls = []
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return row_classes(rows)
+
+    monkeypatch.setattr(graphs, "row_classes", counted)
+    graph = complete_multipartite_graph((3, 2, 2))
+    for _ in range(2):
+        assert el.recognize_complete_multipartite(graph).parts == (3, 2, 2)
+    assert el.clique_number(graph) == 3
+    assert calls == [(7, 1)]
 
 
 # --- planarity

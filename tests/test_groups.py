@@ -428,25 +428,30 @@ KEPT_PUBLIC = {
 
 
 def _public_definitions(tree):
-    """(definition, is_method) for each public module-level function or
-    class and each public method of a module-level class."""
+    """(definition, owner) for each public module-level function or class
+    (owner None) and each public method of a module-level class (owner the
+    class)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node, False
+            yield node, None
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield sub, True
+                    yield sub, node
+
+
+def _reads_self(node):
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
 
 
 def _names_read(tree, attributes_only):
-    """Counts of the identifiers a syntax tree reads: attribute names and
-    string constants (as in ``getattr`` tables), and unless
-    ``attributes_only`` also plain and imported names."""
+    """Counts of the identifiers a syntax tree reads: attribute names other
+    than ``self.<name>`` and string constants (as in ``getattr`` tables), and
+    unless ``attributes_only`` also plain and imported names."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            out[node.attr] += not _reads_self(node)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out[node.value] += 1
         elif isinstance(node, ast.Name) and not attributes_only:
@@ -456,10 +461,18 @@ def _names_read(tree, attributes_only):
     return out
 
 
+def _self_reads(tree):
+    """Counts of the ``self.<name>`` reads in a syntax tree."""
+    return Counter(
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and _reads_self(n)
+    )
+
+
 def test_every_public_name_in_the_package_has_a_caller():
     # a name only tests use belongs in tests/oracles.py or in the test; the
-    # package's re-exports in __init__ are not callers, and a method is
-    # called only through an attribute
+    # package's re-exports in __init__ are not callers, a method is called
+    # only through an attribute, and a ``self.<name>`` read calls only the
+    # method of the class whose body holds it
     package = Path(groups.__file__).parent
     bench = Path(layertrace.__file__).parent
     trees = {p: ast.parse(p.read_text())
@@ -468,12 +481,19 @@ def test_every_public_name_in_the_package_has_a_caller():
     init.body = [n for n in init.body if not isinstance(n, ast.ImportFrom)]
     read = {kind: sum((_names_read(t, kind) for t in trees.values()), Counter())
             for kind in (False, True)}
+
+    def has_caller(node, owner):
+        # reads outside the definition itself, and self reads inside its class
+        is_method = owner is not None
+        outside = read[is_method][node.name] - _names_read(node, is_method)[node.name]
+        inside = _self_reads(owner)[node.name] - _self_reads(node)[node.name] if is_method else 0
+        return outside + inside > 0
+
     unused = [
         f"{path.name}:{node.name}"
         for path in sorted(package.glob("*.py"))
-        for node, is_method in _public_definitions(trees[path])
-        if node.name not in KEPT_PUBLIC
-        and read[is_method][node.name] == _names_read(node, is_method)[node.name]
+        for node, owner in _public_definitions(trees[path])
+        if node.name not in KEPT_PUBLIC and not has_caller(node, owner)
     ]
     assert unused == []
 

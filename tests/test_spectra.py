@@ -206,18 +206,8 @@ def test_twin_quotient_matches_the_kernel_on_full_matrices(spec):
     quotient, tail = spectra._twin_quotient(graph.adj.astype(np.int64))
     k = len(np.unique(graph.adj, axis=0))
     assert quotient.shape[0] == k
+    assert graph.twin_classes[0].size == k
     assert tail == IntegerSpectrum.merged([(0, graph.n - k)])
-
-
-def _blow_up(base, sizes):
-    """Index i of ``base`` replaced by sizes[i] twins: copies of i and j != i
-    meet in base[i][j], each copy keeps base[i][i] on the diagonal, and two
-    copies of one index meet in 0."""
-    owner = [i for i, size in enumerate(sizes) for _ in range(size)]
-    return [
-        [base[i][j] if u == v or i != j else 0 for v, j in enumerate(owner)]
-        for u, i in enumerate(owner)
-    ]
 
 
 def _assert_matches_oracles(matrix):
@@ -237,7 +227,7 @@ def test_charpoly_of_blown_up_graphs_matches_oracles(data):
         for j in range(i + 1, k):
             base[i][j] = base[j][i] = data.draw(st.integers(min_value=0, max_value=1))
     sizes = data.draw(st.lists(st.integers(min_value=1, max_value=4), min_size=k, max_size=k))
-    graph = SimpleGraph(np.array(_blow_up(base, sizes), dtype=bool))
+    graph = SimpleGraph(np.array(oracles.blow_up(base, sizes), dtype=bool))
     want = tuple(_assert_matches_oracles(m) for m in _graph_matrices(graph))
     rep = el.spectrum_report(graph)
     assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == want
@@ -252,7 +242,7 @@ def test_charpoly_of_blown_up_integer_matrices_matches_oracles(data):
     entry = st.integers(min_value=-5, max_value=5)
     base = [[data.draw(entry) for _ in range(k)] for _ in range(k)]
     sizes = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=k, max_size=k))
-    matrix = _blow_up(base, sizes)
+    matrix = oracles.blow_up(base, sizes)
     _assert_matches_oracles(matrix)
     assert spectra._twin_quotient(np.array(matrix))[0].shape[0] <= k
 
