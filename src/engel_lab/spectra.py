@@ -6,30 +6,33 @@ agree off the diagonal, with equal diagonal entries (``graphs.row_classes``;
 a graph's false twins), leave a k x k class matrix B and one linear factor
 per surplus class member.  det(xI - B) comes from a modular Hessenberg
 kernel, O(k^3) per prime, modulo 30-bit primes (found once per process) and a
-CRT lift under a proven coefficient bound.  Integer roots come from exact
-trial division up to a given bound, energies from rational arithmetic.  No
-floating point anywhere.  `SPECTRUM_VERTEX_LIMIT` caps the graphs `analyze`
-computes spectra for.
+CRT lift under a proven coefficient bound.  The polynomial keeps that split,
+so integer roots come from exact trial division of det(xI - B) alone up to a
+given bound, plus the known linear factors; energies come from rational
+arithmetic.  No floating point anywhere.  `SPECTRUM_VERTEX_LIMIT` caps the
+graphs `analyze` computes spectra for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .analysis import MultipartiteShape
 from .graphs import SimpleGraph, row_classes
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 # `analyze` reports spectra only up to this many reduced vertices n.  On a
-# 2-core x86 host the spectrum report takes 0.03 s on D:384 (n = 192 in
-# k = 3 twin classes), 0.34 s on S:5 (119, 72), 0.41 s on P:(S:4)x(D:12)
-# (264, 68) and 9.3 s on A:6 (359, 202).
+# 2-core x86 host the spectrum report takes 0.008 s on D:384 (n = 192 in
+# k = 3 twin classes), 0.19 s on S:5 (119, 72), 0.21 s on P:(S:4)x(D:12)
+# (264, 68) and 6.9 s on A:6 (359, 202).
 SPECTRUM_VERTEX_LIMIT = 200
 
 
@@ -38,6 +41,10 @@ class IntPolynomial:
     """Integer polynomial, coefficients ascending by degree."""
 
     coeffs: tuple[int, ...]
+    # (det(xI - B), tail) when char_poly_exact multiplied this from a twin split
+    split: Optional[tuple[IntPolynomial, IntegerSpectrum]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.coeffs:
@@ -63,15 +70,14 @@ class IntPolynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence[tuple[int, int]]) -> "IntPolynomial":
-        """Monic product of (x - value)^multiplicity factors, multiplied in
-        one linear factor at a time: p (x - v) = x p - v p."""
-        coeffs = [1]
-        for value, mult in roots:
-            if mult < 0:
+        """Monic product of (x - value)^m over (value, m) pairs, each factor
+        built from its binomial coefficients C(m, i) (-value)^(m - i)."""
+        out = cls((1,))
+        for value, m in roots:
+            if m < 0:
                 raise ValueError("negative multiplicity")
-            for _ in range(mult):
-                coeffs = [a - value * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-        return cls(tuple(coeffs))
+            out *= cls(tuple(math.comb(m, i) * (-value) ** (m - i) for i in range(m + 1)))
+        return out
 
     def to_decimal_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -325,7 +331,8 @@ def char_poly_exact(matrix: ArrayLike) -> IntPolynomial:
     magnitude = np.abs(m).astype(np.uint64)
     frob_sq = int((magnitude * magnitude).sum())
     quotient, tail = _twin_quotient(m)
-    return _charpoly_crt(quotient, frob_sq) * tail.to_poly()
+    head = _charpoly_crt(quotient, frob_sq)
+    return IntPolynomial((head * tail.to_poly()).coeffs, (head, tail))
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +359,24 @@ def integer_roots(poly: IntPolynomial, root_bound: int) -> Optional[IntegerSpect
 
     Every nonzero integer root divides the trailing nonzero coefficient, so
     the candidates are the integers in [-root_bound, root_bound] that divide
-    it.  A graph matrix's eigenvalues are bounded by its largest row sum of
-    absolute values, which ``spectrum_report`` passes; a bound that is too
-    small can only turn a split into None, never give a wrong root.
+    it.  A polynomial from ``char_poly_exact`` is Q T with T's roots known
+    (its ``split``): it splits within the bound iff T's roots lie in it and
+    Q does, so only Q is divided and T's roots are added.  A graph matrix's
+    eigenvalues are bounded by its largest row sum of absolute values, which
+    ``spectrum_report`` passes; a bound that is too small can only turn a
+    split into None, never give a wrong root.
     """
     if not poly.is_monic:
         raise ValueError("integer_roots expects a monic polynomial")
-    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
-    coeffs = poly.coeffs[zeros:]
+    head, tail = poly.split or (poly, IntegerSpectrum(()))
+    if any(abs(v) > root_bound for v, _ in tail.roots):
+        return None
+    zeros = next(i for i, c in enumerate(head.coeffs) if c)
+    coeffs = head.coeffs[zeros:]
     found = {0: zeros} if zeros else {}
     for r in range(-root_bound, root_bound + 1):
+        if len(coeffs) == 1:
+            break
         while len(coeffs) > 1 and r and coeffs[0] % r == 0:
             quotient = _divide_linear(coeffs, r)
             if quotient is None:
@@ -370,7 +385,7 @@ def integer_roots(poly: IntPolynomial, root_bound: int) -> Optional[IntegerSpect
             found[r] = found.get(r, 0) + 1
     if len(coeffs) > 1:
         return None
-    return IntegerSpectrum(tuple(sorted(found.items())))
+    return IntegerSpectrum.merged([*found.items(), *tail.roots])
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,16 @@ def faddeev_leverrier_charpoly(matrix):
     return coeffs_desc[::-1]
 
 
+def linear_factor_product(roots):
+    """Π (x - value)^mult over (value, mult) pairs, multiplied in one linear
+    factor at a time, p (x - v) = x p - v p; ascending coefficients."""
+    coeffs = [1]
+    for value, mult in roots:
+        for _ in range(mult):
+            coeffs = [a - value * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
 def hadamard_coefficient_terms(n, max_entry):
     """[C(n,k) (ceil(sqrt(k)) B)^k for k = 0..n]: term k bounds |e_k(λ)|, the
     sum of the k x k principal minors of an n x n matrix with entries of

@@ -261,13 +261,17 @@ def test_cli_graph_json_bytes_are_pinned(capsys):
     assert _run_cli(["graph", "C:1", "--directed"], capsys) == (0, want, "")
 
 
-@pytest.mark.parametrize("spec", ["D:6", " D:6 ", "S:4", "S:5", "F:3:37", "C:5", "A:6"])
+@pytest.mark.parametrize(
+    "spec", ["D:6", " D:6 ", "S:4", "S:5", "F:3:37", "D:96", "F:5:11", "C:5", "A:6"]
+)
 def test_cli_analyze_bytes_are_pinned(spec, capsys):
     # D:6 is recognised (K_3), S:4 takes the null-shape branch; both run the
     # clique search, spectra and Zagreb, whose Python ints and bools reach
     # json.dumps (which raises on numpy scalars).  S:5 (119 vertices in 72
     # twin classes) has polynomials that do not split; F:3:37 (K_{37x2}, 74
     # vertices) is past the clique limit and has the ladder's largest matrix.
+    # D:96 (K_{16,16,16}) and F:5:11 (K_{4x11}) are integral with twin-class
+    # eigenvalues of multiplicity 45 and 33.
     # C:5 is an Engel group (the reduced-graph skip) and A:6 (359 vertices)
     # is past both the clique and the spectrum limits.  " D:6 " is accepted
     # and echoed as its canonical text, so its document is D:6's

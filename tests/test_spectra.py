@@ -38,8 +38,23 @@ def test_poly_from_roots_reconstructs():
     for x in range(-5, 6):
         assert sum(c * x**i for i, c in enumerate(p.coeffs)) == (x - 2) * (x + 1) ** 2
     assert IntPolynomial.from_roots([(5, 0)]).coeffs == (1,)
+    assert IntPolynomial.from_roots([]).coeffs == (1,)
     with pytest.raises(ValueError, match="negative"):
         IntPolynomial.from_roots([(1, -1)])
+
+
+@given(
+    roots=st.lists(
+        st.tuples(
+            st.integers(min_value=-60, max_value=60),
+            st.integers(min_value=0, max_value=40),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_poly_from_roots_matches_linear_factor_product(roots):
+    assert list(IntPolynomial.from_roots(roots).coeffs) == oracles.linear_factor_product(roots)
 
 
 def test_poly_rejects_zero_leading():
@@ -210,6 +225,41 @@ def test_twin_quotient_matches_the_kernel_on_full_matrices(spec):
     assert tail == IntegerSpectrum.merged([(0, graph.n - k)])
 
 
+def _assert_split_roots_match_plain(matrix, poly, bound):
+    """``poly`` = char_poly_exact(matrix) carries its twin split, which
+    changes neither == nor hash; integer_roots on it equals the plain scan
+    of the same coefficients at ``bound``, at bound - 1 and just below the
+    largest tail value, where the tail alone refuses the split.  Bounds stay
+    at 0 or above: below 0 the plain scan still reports zero roots."""
+    plain = IntPolynomial(poly.coeffs)
+    assert poly.split is not None and plain.split is None
+    head, tail = poly.split
+    assert head * tail.to_poly() == plain
+    again = el.char_poly_exact(matrix)
+    assert again == plain and hash(again) == hash(plain)
+    top = max((abs(v) for v, _ in tail.roots), default=0)
+    for b in (bound, max(0, bound - 1), max(0, top - 1)):
+        assert el.integer_roots(poly, b) == el.integer_roots(plain, b)
+    if top:
+        assert el.integer_roots(poly, top - 1) is None
+
+
+def _assert_report_roots_match_plain(graph):
+    rep = el.spectrum_report(graph)
+    max_deg = int(graph.adj.sum(axis=1).max())
+    bounds = (max(1, max_deg), max(1, 2 * max_deg), max(1, 2 * max_deg))
+    polys = (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly)
+    measured = (rep.adjacency_spectrum, rep.laplacian_spectrum, rep.signless_spectrum)
+    for m, p, b, spectrum in zip(_graph_matrices(graph), polys, bounds, measured):
+        _assert_split_roots_match_plain(m, p, b)
+        assert spectrum == el.integer_roots(IntPolynomial(p.coeffs), b)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS + ["S:5"])
+def test_integer_roots_of_the_split_match_the_plain_scan(spec):
+    _assert_report_roots_match_plain(el.reduced_co_engel_graph(el.build_group(spec)))
+
+
 def _assert_matches_oracles(matrix):
     got = _assert_matches_faddeev_leverrier(matrix)
     if len(matrix) <= 6:
@@ -232,6 +282,7 @@ def test_charpoly_of_blown_up_graphs_matches_oracles(data):
     rep = el.spectrum_report(graph)
     assert (rep.adjacency_poly, rep.laplacian_poly, rep.signless_poly) == want
     assert spectra._twin_quotient(graph.adj.astype(np.int64))[0].shape[0] <= k
+    _assert_report_roots_match_plain(graph)
 
 
 @given(data=st.data())
@@ -243,8 +294,10 @@ def test_charpoly_of_blown_up_integer_matrices_matches_oracles(data):
     base = [[data.draw(entry) for _ in range(k)] for _ in range(k)]
     sizes = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=k, max_size=k))
     matrix = oracles.blow_up(base, sizes)
-    _assert_matches_oracles(matrix)
+    poly = _assert_matches_oracles(matrix)
     assert spectra._twin_quotient(np.array(matrix))[0].shape[0] <= k
+    # every eigenvalue lies within the largest absolute row sum
+    _assert_split_roots_match_plain(matrix, poly, max(sum(map(abs, row)) for row in matrix))
 
 
 def test_twin_quotient_edge_cases():
@@ -409,6 +462,20 @@ def test_integer_roots_with_bound():
     assert dict(spec.roots) == {3: 2, -5: 1, 0: 3}
     # a too-small bound must miss the split and return None, never lie
     assert el.integer_roots(p, root_bound=4) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_roots_refuses_a_tail_root_past_the_bound(sign):
+    # twins 0 and 1 (diagonal ±5) leave B = ±[[5, 3], [-8, -5]] with roots -1
+    # and 1: at bound 4 only the tail's root ±5 refuses the split (a graph
+    # matrix never shows this, its largest root being above every degree)
+    matrix = [[sign * v for v in row] for row in [[5, 0, 3], [0, 5, 3], [-4, -4, -5]]]
+    poly = el.char_poly_exact(matrix)
+    assert el.integer_roots(poly.split[0], 4) == IntegerSpectrum(((-1, 1), (1, 1)))
+    assert el.integer_roots(poly, 4) is None
+    want = IntegerSpectrum.merged([(-1, 1), (1, 1), (5 * sign, 1)])
+    assert el.integer_roots(poly, 5) == want
+    _assert_split_roots_match_plain(matrix, poly, 5)
 
 
 def test_integer_roots_requires_monic():
