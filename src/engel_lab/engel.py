@@ -22,7 +22,6 @@ from .groups import (
     commutator_map,
     is_nilpotent,
     is_normal,
-    prime_order_cosets,
     subgroup_generated,
 )
 
@@ -87,17 +86,17 @@ def non_engel_elements(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
-    """Check L(G) is the Fitting subgroup: a normal nilpotent subgroup with
-    no strictly larger normal nilpotent subgroup; returns L's mask.
+    """Check L(G) is the Fitting subgroup F(G) (Baer): a normal nilpotent
+    subgroup with no strictly larger normal nilpotent subgroup; returns L's
+    mask.
 
-    If L < F(G), then F/L is a non-trivial normal nilpotent subgroup of G/L,
-    so it holds some xL of prime order, and the normal closure
-    N = <L, x^G> of that x lies in F and is nilpotent.  So it suffices to
-    form N for every x outside L whose coset has prime order in G/L, once
-    per conjugacy class of G/L (N is the same for all of x^G L), skipping
-    N = G when G is not nilpotent.  Raises ValueError naming the least x
-    whose N is nilpotent.  L = G, normal in G with no element outside it,
-    is decided by G's own cached series alone.
+    L < F(G) iff some x outside L has a nilpotent normal closure
+    N = <L, x^G>: such an N is normal and nilpotent, so L < N <= F(G); and
+    for x in F(G) \\ L, N lies in the nilpotent F(G).  N is formed once
+    per class x^G L, the same N for all of it.  Raises ValueError naming the
+    least x whose N is nilpotent.
+    L = G, normal in G with no element outside it, is decided by G's own
+    cached series alone.
     """
     inside = np.zeros(g.order, dtype=bool)
     inside[list(left_engel_set(g))] = True
@@ -112,15 +111,12 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
     if whole:
         return inside
     seen = inside.copy()
-    prime_coset = prime_order_cosets(g, inside)
     c = commutator_map(g)
     for x in range(g.order):
         if seen[x]:
             continue
         conjugates = np.flatnonzero(_hits(g.table, np.array([x]), c[:, x]))  # x^a = x [x, a]
         seen |= _hits(g.table, conjugates, members)
-        if not prime_coset[x]:
-            continue
         closure = subgroup_generated(g, np.concatenate((members, conjugates)))
         # N = G reads G's one cached series
         if is_nilpotent(g, None if closure.all() else closure):

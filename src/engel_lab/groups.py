@@ -12,8 +12,8 @@ and a dense lookup from codes to indices.  The structure functions (series,
 normality, closure) are array expressions over the table and the commutator
 map ``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
 whose commutator map also gives the subgroup's own series.  ``powers`` takes
-every element to the m-th power by repeated squaring, and element orders and
-prime-order cosets come from a few such powers per prime dividing the order.
+every element to the m-th power by repeated squaring, and element orders
+come from a few such powers per prime dividing the order.
 Builders are pure and enumerate elements in a documented, bit-reproducible
 order.
 
@@ -29,7 +29,6 @@ intp (``_products``), since x*n wraps in a uint8 or uint16 table's dtype.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -190,18 +189,6 @@ def element_orders(g: FiniteGroup) -> np.ndarray:
     return orders
 
 
-def prime_order_cosets(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
-    """Mask of the x whose coset xN has prime order in G/N, for the normal
-    subgroup N with mask ``inside``: x is not in N and x^p is, for some
-    prime p dividing [G:N] (an order-p coset has p | [G:N] by Lagrange)."""
-    inside = _mask(g, inside)
-    index = g.order // int(np.count_nonzero(inside))
-    hit = np.zeros(g.order, dtype=bool)
-    for p, _ in _prime_powers(index):
-        hit |= inside.take(powers(g, p))
-    return hit & ~inside
-
-
 def _finalize(
     order: int,
     product: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -292,8 +279,32 @@ def build_generalized_quaternion(four_n: int) -> FiniteGroup:
     return _metacyclic(h, 2, h - 1, h // 2, "x", "y", f"Q_{four_n}")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Miller-Rabin on the first twelve primes as bases, deterministic for
+    n < 3.18 * 10^23, so for every 64-bit n."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def default_frobenius_residue(p: int, q: int) -> int:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .analysis import MultipartiteShape
 from .graphs import SimpleGraph, row_classes
+from .groups import _is_prime
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -96,10 +97,6 @@ class IntegerSpectrum:
         if any(m < 1 for _, m in self.roots):
             raise ValueError("multiplicities must be positive")
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.roots)
-
     def to_poly(self) -> IntPolynomial:
         return IntPolynomial.from_roots(self.roots)
 
@@ -120,32 +117,6 @@ class IntegerSpectrum:
 # modular Hessenberg kernel
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_64(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # the largest primes below 2^30, descending: found once per process and
 # extended on demand (not an lru_cache, which bench/run.py clears per command)
 _PRIMES: list[int] = []
@@ -154,7 +125,7 @@ _PRIMES: list[int] = []
 def _primes_below_2_30(count: int) -> list[int]:
     candidate = _PRIMES[-1] - 2 if _PRIMES else (1 << 30) - 1
     while len(_PRIMES) < count:
-        if _is_prime_64(candidate):
+        if _is_prime(candidate):
             _PRIMES.append(candidate)
         candidate -= 2
     return _PRIMES[:count]
@@ -368,6 +339,8 @@ def integer_roots(poly: IntPolynomial, root_bound: int) -> Optional[IntegerSpect
     """
     if not poly.is_monic:
         raise ValueError("integer_roots expects a monic polynomial")
+    if root_bound < 0:
+        raise ValueError(f"root bound must be >= 0, got {root_bound}")
     head, tail = poly.split or (poly, IntegerSpectrum(()))
     if any(abs(v) > root_bound for v, _ in tail.roots):
         return None

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import engel_lab as el
 from engel_lab import engel
-from engel_lab.groups import element_orders, prime_order_cosets
+from engel_lab.groups import element_orders
 from engel_lab.engel import engel_relation, validate_left_engel_baer
 from engel_lab.verify import _soluble_catalog
 
@@ -20,6 +20,7 @@ from oracles import EngelVerdict, engel_verdict, name_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import groupmodel  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _verdict(spec, xname, yname):
@@ -226,21 +227,14 @@ def _first_power_in_by_definition(g, x, inside):
     return k
 
 
-def _is_prime(k):
-    return k >= 2 and all(k % d for d in range(2, k))
-
-
 def _baer_witness_by_definition(g, members):
     """The closure walk written out: ascending, the first x outside L whose
-    coset xL has prime order in G/L and whose normal closure <L, x^G> is
-    normal and nilpotent (a proper subgroup unless G is nilpotent), taken
-    on its re-tabled copy, by name; None if there is none."""
+    normal closure <L, x^G> is normal and nilpotent (a proper subgroup
+    unless G is nilpotent), taken on its re-tabled copy, by name; None if
+    there is none."""
     inside, g_nilpotent = set(members), el.is_nilpotent(g)
     for x in range(g.order):
         if x in inside:
-            continue
-        k = _first_power_in_by_definition(g, x, inside)
-        if k < 2 or any(k % d == 0 for d in range(2, k)):
             continue
         conjugates = {g.mul(g.mul(g.inv(a), x), a) for a in range(g.order)}
         closure = el.subgroup_generated(g, [*members, *conjugates])
@@ -301,20 +295,6 @@ def test_element_orders_match_the_per_element_loop(spec):
     assert element_orders(g).tolist() == want
 
 
-@pytest.mark.parametrize("spec", SMALLER_CANDIDATE_SPECS)
-def test_prime_order_cosets_match_the_per_element_loop(spec):
-    # x^p in L for a prime p | [G:L] iff xL has prime order in G/L, on
-    # every Baer candidate L
-    g = el.build_group(spec)
-    for members in _baer_candidates(g):
-        inside = set(members)
-        want = [
-            x not in inside and _is_prime(_first_power_in_by_definition(g, x, inside))
-            for x in range(g.order)
-        ]
-        assert prime_order_cosets(g, _mask(g, members)).tolist() == want, (spec, members)
-
-
 @pytest.mark.parametrize("spec", sorted({*SMALLER_CANDIDATE_SPECS, *_soluble_catalog(48)}))
 def test_within_masks_match_the_retabled_subgroup(spec):
     # the upper central series and nilpotency of every Baer candidate and
@@ -342,10 +322,15 @@ def test_baer_walk_refuses_trivial_l_below_a_non_cyclic_fitting_subgroup(spec, m
         validate_left_engel_baer(g)
 
 
-@pytest.mark.parametrize("spec", [*_soluble_catalog(48), "A:5", "S:5"])
+@pytest.mark.parametrize(
+    "spec", list(dict.fromkeys([*_soluble_catalog(48), "A:5", "S:5", *workloads.census_specs()]))
+)
 def test_baer_walk_accepts_l_of_fitting_order(spec):
+    # every census group, so the walk over every class outside L runs on
+    # S:5, A:6 and S:6 too
     g = el.build_group(spec)
     sub = validate_left_engel_baer(g)
+    assert _members(sub) == tuple(sorted(el.left_engel_set(g)))
     assert np.count_nonzero(sub) == groupmodel.fitting_order(groupmodel.parse_spec(spec))
 
 

@@ -193,6 +193,20 @@ def test_frobenius_default_residue_is_smallest():
     assert default_frobenius_residue(5, 11) == 3
 
 
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [groups._is_prime(n) for n in range(10_000)] == [
+        by_trial_division(n) for n in range(10_000)
+    ]
+    # a Carmichael number, then the least strong pseudoprimes to the bases
+    # {2}, {2, 3} and {2, 3, 5, 7}
+    for n in (561, 2047, 1373653, 3215031751):
+        assert not groups._is_prime(n) and not by_trial_division(n), n
+    assert groups._is_prime((1 << 61) - 1) and not groups._is_prime((1 << 64) - 1)
+
+
 # --- symmetric / alternating
 
 
@@ -1032,8 +1046,7 @@ def test_scalar_accessors_return_python_ints(capsys):
 def test_mask_arguments_must_be_bool_masks_of_the_group(bad):
     # an index list read as a mask would silently answer for another subgroup
     g = el.build_group("S:4")
-    calls = (el.is_normal, el.is_nilpotent, el.upper_central_series, el.hypercenter,
-             groups.prime_order_cosets)
+    calls = (el.is_normal, el.is_nilpotent, el.upper_central_series, el.hypercenter)
     for call in calls:
         with pytest.raises(ValueError, match="bool mask"):
             call(g, bad)

@@ -394,8 +394,8 @@ def test_primes_match_a_descending_sieve():
 def test_primes_are_searched_once_per_process(monkeypatch):
     monkeypatch.setattr(spectra, "_PRIMES", [])
     tested = []
-    is_prime = spectra._is_prime_64
-    monkeypatch.setattr(spectra, "_is_prime_64", lambda n: tested.append(n) or is_prime(n))
+    is_prime = spectra._is_prime
+    monkeypatch.setattr(spectra, "_is_prime", lambda n: tested.append(n) or is_prime(n))
     first = spectra._primes_below_2_30(3)
     assert min(tested) == first[-1]
     tested.clear()
@@ -483,6 +483,15 @@ def test_integer_roots_requires_monic():
         el.integer_roots(IntPolynomial((1, 2)), 2)
 
 
+def test_integer_roots_refuses_a_negative_bound():
+    # x^2 with its zeros in the head or in the split's tail
+    for poly in (IntPolynomial((0, 0, 1)), el.char_poly_exact([[0, 0], [0, 0]])):
+        assert poly == IntPolynomial((0, 0, 1))
+        assert el.integer_roots(poly, 0) == IntegerSpectrum(((0, 2),))
+        with pytest.raises(ValueError, match="root bound"):
+            el.integer_roots(poly, -1)
+
+
 @given(
     roots=st.lists(
         st.tuples(
@@ -507,7 +516,7 @@ def test_integer_roots_round_trip(roots):
 
 def test_spectrum_reconstructs_polynomial():
     spec = IntegerSpectrum(((-4, 2), (0, 9), (8, 1)))
-    assert spec.degree == 12
+    assert sum(m for _, m in spec.roots) == 12
     p = spec.to_poly()
     assert p.degree == 12 and p.is_monic
 
