@@ -17,7 +17,7 @@ from .engel import (
     left_engel_set,
     non_engel_elements,
     reduced_co_engel_graph,
-    single_arc_pairs,
+    single_arc_mask,
     single_arcs_outside_left_engel,
     validate_left_engel_baer,
 )

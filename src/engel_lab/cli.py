@@ -95,9 +95,10 @@ def cmd_graph(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.format == "dot":
-        sys.stdout.write(graph.to_dot(g.label))
+        kept = engel.non_engel_elements(g) if args.kind == "reduced" else range(g.order)
+        graph.write_dot(sys.stdout, g.label, [g.element_names[e] for e in kept])
     else:
-        sys.stdout.write(graph.to_json())
+        graph.write_json(sys.stdout)
     return 0
 
 

@@ -138,7 +138,7 @@ def _co_engel(rel: np.ndarray) -> np.ndarray:
 def co_engel_graph(g: FiniteGroup) -> SimpleGraph:
     """Full co-Engel graph on all of G: x ~ y iff neither Engel sequence
     ([x,_k y] or [y,_k x]) ever reaches the identity."""
-    return SimpleGraph(_co_engel(engel_relation(g)), labels=g.element_names)
+    return SimpleGraph(_co_engel(engel_relation(g)))
 
 
 @lru_cache(maxsize=128)
@@ -152,9 +152,7 @@ def reduced_co_engel_graph(g: FiniteGroup) -> SimpleGraph:
         )
     # the co-Engel relation is symmetric, so it is read off the transpose,
     # whose rows are contiguous (engel_relation returns a transposed view)
-    adj = _co_engel(engel_relation(g).T[kept][:, kept])
-    labels = tuple(g.element_names[e] for e in kept)
-    return SimpleGraph(adj, labels=labels)
+    return SimpleGraph(_co_engel(engel_relation(g).T[kept][:, kept]))
 
 
 @lru_cache(maxsize=128)
@@ -162,18 +160,20 @@ def directed_engel_graph(g: FiniteGroup) -> DirectedGraph:
     """Arc x -> y iff [y, _k x] = 1 for some k (x != y)."""
     arcs = engel_relation(g).T.copy()
     np.fill_diagonal(arcs, False)
-    return DirectedGraph(arcs, labels=g.element_names)
+    return DirectedGraph(arcs)
 
 
-def single_arc_pairs(d: DirectedGraph) -> list[tuple[int, int]]:
-    """All (x, y) with x -> y but not y -> x, in lexicographic order."""
-    m = d.adj
-    return pair_list(np.nonzero(m & ~m.T))
+def single_arc_mask(g: FiniteGroup, outside_left_engel: bool = False) -> np.ndarray:
+    """Mask of the single arcs x -> y (no arc y -> x) of the directed Engel
+    graph, only those with both ends outside L(G) if ``outside_left_engel``."""
+    m = directed_engel_graph(g).adj
+    single = m & ~m.T
+    if outside_left_engel:
+        inside = list(left_engel_set(g))
+        single[inside] = single[:, inside] = False
+    return single
 
 
 def single_arcs_outside_left_engel(g: FiniteGroup) -> list[tuple[int, int]]:
-    """Single arcs of the directed Engel graph with both ends outside L(G)."""
-    outside = np.ones(g.order, dtype=bool)
-    outside[list(left_engel_set(g))] = False
-    m = directed_engel_graph(g).adj
-    return pair_list(np.nonzero(m & ~m.T & outside[:, None] & outside[None, :]))
+    """Single arcs with both ends outside L(G), in lexicographic order."""
+    return pair_list(np.nonzero(single_arc_mask(g, outside_left_engel=True)))

@@ -1,22 +1,22 @@
-"""Undirected and directed graphs on vertex indices, stored as one read-only
-n x n bool adjacency matrix.
+"""Undirected and directed graphs on vertex indices, each one read-only n x n
+bool adjacency matrix and nothing else.
 
 Both classes read their edges from one enumeration: ``np.nonzero`` of the
 matrix lists its pairs in row-major, i.e. lexicographic, order (upper
-triangle only for undirected graphs).  The DOT and JSON wire formats are
-written from that list, so serialised output is byte-reproducible;
-``to_json`` is the text of ``json.dumps`` of ``to_json_obj`` with
-``sort_keys=True, indent=2``, plus a newline.  Both writers go through one
-row writer: the text of a pair (i, j) is a head for i and a tail for j, each
-formatted once per vertex, and each row i is its head joined between the
-tails of its pairs.  Accessors return Python ints and bools.
+triangle only for undirected graphs).  The DOT and JSON writers stream that
+list to a text file one row at a time, byte-reproducibly; ``write_json``
+writes the text of ``json.dumps(to_json_obj(), sort_keys=True, indent=2)``
+plus a newline, and ``write_dot`` takes vertex labels from its caller.  The
+text of a pair (i, j) is a head for i and a tail for j, each formatted once
+per vertex, and each row i is its head joined between the tails of its
+pairs.  Accessors return Python ints and bools.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -35,12 +35,11 @@ def row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _Graph:
-    """The adjacency matrix, labels, and the DOT and JSON writers shared by
-    both graph classes; a subclass provides ``pair_arrays()`` and ``_DOT``,
-    its DOT keyword and edge operator.  The matrix is made read-only here."""
+    """The adjacency matrix and the DOT and JSON writers shared by both graph
+    classes; a subclass provides ``pair_arrays()`` and ``_DOT``, its DOT
+    keyword and edge operator.  The matrix is made read-only here."""
 
     adj: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         self.adj.flags.writeable = False
@@ -49,39 +48,41 @@ class _Graph:
     def n(self) -> int:
         return self.adj.shape[0]
 
-    def _pair_rows(self, head: str, tail: str) -> list[str]:
-        """The lexicographic pair list as text, two strings per row i that
-        has pairs: ``head % i``, then the ``tail % j`` of its pairs (i, j)
-        joined by ``head % i``.  The tail strings are shared, one per
-        vertex."""
+    def _write_pairs(self, out: TextIO, head: str, tail: str, last: str) -> None:
+        """Write the lexicographic pair list to ``out`` one row i at a time:
+        ``head % i``, then the ``tail % j`` of its pairs (i, j) joined by
+        ``head % i``, with ``last % j`` for the last pair of all.  The tail
+        strings are shared, one per vertex."""
         i, j = self.pair_arrays()
         tails = np.array([tail % v for v in range(self.n)], dtype=object)[j].tolist()
-        out, start = [], 0
+        if tails:
+            tails[-1] = last % j[-1]
+        start = 0
         for row, end in enumerate(np.cumsum(np.bincount(i, minlength=self.n)).tolist()):
             if end > start:
                 text = head % row
-                out += (text, text.join(tails[start:end]))
+                out.write(text + text.join(tails[start:end]))
                 start = end
-        return out
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": np.column_stack(self.pair_arrays()).tolist()}
 
-    def to_json(self) -> str:
-        rows = self._pair_rows("    [\n      %d,\n      ", "%d\n    ],\n")
-        if not rows:
-            return '{\n  "edges": [],\n  "n": %d\n}\n' % self.n
-        rows[-1] = rows[-1][:-2] + "\n"  # no comma after the last pair
-        return "".join(['{\n  "edges": [\n', *rows, '  ],\n  "n": %d\n}\n' % self.n])
+    def write_json(self, out: TextIO) -> None:
+        if not self.adj.any():
+            out.write('{\n  "edges": [],\n  "n": %d\n}\n' % self.n)
+            return
+        out.write('{\n  "edges": [\n')
+        self._write_pairs(out, "    [\n      %d,\n      ", "%d\n    ],\n", "%d\n    ]\n")
+        out.write('  ],\n  "n": %d\n}\n' % self.n)
 
-    def to_dot(self, name: str = "G") -> str:
+    def write_dot(self, out: TextIO, name: str, labels: Optional[Sequence[str]] = None) -> None:
+        """Write the DOT text to ``out``, vertex i labelled ``labels[i]`` (default i)."""
         keyword, op = self._DOT
-        vertices = "".join(f'  {i} [label="{self.label_of(i)}"];\n' for i in range(self.n))
-        edges = self._pair_rows(f"  %d {op} ", "%d;\n")
-        return "".join([f'{keyword} "{name}" {{\n', vertices, *edges, "}\n"])
+        labels = range(self.n) if labels is None else labels
+        out.write(f'{keyword} "{name}" {{\n'
+                  + "".join(f'  {i} [label="{label}"];\n' for i, label in enumerate(labels)))
+        self._write_pairs(out, f"  %d {op} ", "%d;\n", "%d;\n")
+        out.write("}\n")
 
 
 class SimpleGraph(_Graph):

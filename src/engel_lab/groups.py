@@ -1,8 +1,8 @@
 """Finite groups as explicit multiplication tables with 0-based element indices.
 
-Every group is a fully materialised Cayley table plus canonical element names,
-so downstream computations reduce to exact table arithmetic.  ``table`` and
-``inverse`` are read-only numpy arrays of dtype ``np.min_scalar_type(order)``.
+Every group is a fully materialised Cayley table plus canonical element names
+(made on first read), so computations reduce to exact table arithmetic.
+``table`` and ``inverse`` are read-only arrays of ``np.min_scalar_type(order)``.
 Each builder gives its table as one broadcast expression of row and column
 indices: D_2h, Q_2h and F(p,q) through the metacyclic presentation
 <a, b : b^n = 1, a^m = b^s, a^-1 b a = b^r> with (n, m, r, s) = (h, 2, h-1, 0),
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -74,8 +74,8 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of the product (i first, then j).  Identity
     and inverses are precomputed; ``generators`` is a list of (name, index)
-    pairs and ``element_names`` gives a word for every element.  The scalar
-    accessors return Python ints.
+    pairs and ``element_names`` gives a word for every element, made by
+    ``make_names`` on first read.  The scalar accessors return Python ints.
     """
 
     order: int
@@ -83,8 +83,12 @@ class FiniteGroup:
     identity: int
     inverse: np.ndarray
     generators: tuple[tuple[str, int], ...]
-    element_names: tuple[str, ...]
+    make_names: Callable[[], Sequence[str]]
     label: str
+
+    @cached_property
+    def element_names(self) -> tuple[str, ...]:
+        return tuple(self.make_names())
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -118,12 +122,10 @@ def commutator_map(g: FiniteGroup) -> np.ndarray:
     """Read-only n x n map ``c[y, a] = [a, y] = a^-1 y^-1 a y``: row y is the
     map a -> [a, y]."""
     t, inv = g.table, g.inverse
-    a = np.arange(g.order)
     c = np.empty_like(t)
     for rows in _blocks(g.order, g.order):
-        u = inv.take(t[rows])  # (y a)^-1 = a^-1 y^-1
-        u = _products(t, u, a)  # a^-1 y^-1 a
-        c[rows] = _products(t, u, a[rows, None])  # a^-1 y^-1 a y
+        # (y a)^-1 (a y) = a^-1 y^-1 a y; column y of t is the row a -> a y
+        c[rows] = _products(t, inv.take(t[rows]), t[:, rows].T)
     c.flags.writeable = False
     return c
 
@@ -192,16 +194,16 @@ def element_orders(g: FiniteGroup) -> np.ndarray:
 def _finalize(
     order: int,
     product: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    names: Sequence[str],
+    names: Callable[[], Sequence[str]],
     generators: Sequence[tuple[str, int]],
     label: str,
 ) -> FiniteGroup:
     """The group whose table is ``product(u, v)`` for a column u of row indices
     and the row v of all column indices in order, 0..order-1 (intp; a product
     may rely on getting every column); rows are filled in blocks, narrowed to
-    ``np.min_scalar_type(order)``.  The identity is the first idempotent
-    whose row and column are both identity maps, and inverses are found one
-    row block at a time, so no n x n temporary is made."""
+    ``np.min_scalar_type(order)``; ``names()``, called on first read, names
+    the elements.  The identity is the first idempotent whose row and column
+    are identity maps, and inverses are found one row block at a time."""
     table = np.empty((order, order), dtype=np.min_scalar_type(order))
     v = np.arange(order)
     for rows in _blocks(order, order):
@@ -219,7 +221,7 @@ def _finalize(
         inverse[rows] = both.argmax(axis=1)
     table.flags.writeable = inverse.flags.writeable = False
     return FiniteGroup(
-        order, table, identity, inverse, tuple(generators), tuple(names), label
+        order, table, identity, inverse, tuple(generators), names, label
     )
 
 
@@ -231,9 +233,9 @@ def build_cyclic(n: int) -> FiniteGroup:
     """Z/nZ written multiplicatively: elements e, g, g^2, ..."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    names = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
     gens = [("g", 1 % n)] if n > 1 else []
-    return _finalize(n, lambda u, v: (u + v) % n, names, gens, f"C{n}")
+    return _finalize(n, lambda u, v: (u + v) % n,
+                     lambda: [_power_name("g", i) for i in range(n)], gens, f"C{n}")
 
 
 def _power_name(base: str, i: int) -> str:
@@ -253,10 +255,12 @@ def _metacyclic(n: int, m: int, r: int, s: int, top: str, bottom: str, label: st
         c = u % n * rpow + s * (k >= m)
         return ((c[..., None] + w) % n + (k % m * n)[..., None]).reshape(len(u), -1)
 
-    tops = [_power_name(top, i) for i in range(m)]
-    bottoms = [_power_name(bottom, j) for j in range(n)]
-    names = [f"{x}*{y}" if i and j else x if i else y
-             for i, x in enumerate(tops) for j, y in enumerate(bottoms)]
+    def names():
+        tops = [_power_name(top, i) for i in range(m)]
+        bottoms = [_power_name(bottom, j) for j in range(n)]
+        return [f"{x}*{y}" if i and j else x if i else y
+                for i, x in enumerate(tops) for j, y in enumerate(bottoms)]
+
     return _finalize(n * m, product, names, [(top, n if m > 1 else s), (bottom, 1 % n)], label)
 
 
@@ -344,9 +348,9 @@ def _cycle_name(p: Sequence[int]) -> str:
     return "".join(parts) or "e"
 
 
-def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
-    """Group of lexicographically sorted permutations of 0..k-1."""
-    p = np.array(perms, dtype=np.intp)
+def _perm_group(perms: np.ndarray, label: str) -> FiniteGroup:
+    """Group of lexicographically sorted permutations of 0..k-1, one a row."""
+    p = np.asarray(perms, dtype=np.intp)
     n, k = p.shape
     # s*t acts as t-first composition, (s*t)(i) = s(t(i)), so its base-k code
     # sum_i s(t(i)) k^(k-1-i) is sum_j s(j) k^(k-1-t^-1(j)) = p[s] . weight[t]
@@ -358,7 +362,7 @@ def _perm_group(perms: list[tuple[int, ...]], label: str) -> FiniteGroup:
     index[p @ place] = np.arange(n)
     return _finalize(
         n, lambda u, v: index[p[u.ravel()] @ weight[v.ravel()].T],
-        [_cycle_name(s) for s in perms], [], label,
+        lambda: [_cycle_name(s) for s in p.tolist()], [], label,
     )
 
 
@@ -369,13 +373,13 @@ def check_perm_degree(n: int, family: str) -> None:
         raise ValueError(f"{family} group supported for 2 <= n <= 6, got {n}")
 
 
-def _perms(n: int, family: str, even: bool) -> list[tuple[int, ...]]:
-    """Permutations of 0..n-1 in lexicographic order, optionally only the
-    even ones (an even number of inversions)."""
+def _perms(n: int, family: str, even: bool) -> np.ndarray:
+    """Permutations of 0..n-1 in lexicographic order, one a row, optionally
+    only the even ones (inversions counted over column pairs, all rows at once)."""
     check_perm_degree(n, family)
-    perms = itertools.permutations(range(n))
-    parity = lambda p: sum(a > b for a, b in itertools.combinations(p, 2)) % 2
-    return [p for p in perms if not (even and parity(p))]
+    p = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    inversions = sum(p[:, i] > p[:, j] for i, j in itertools.combinations(range(n), 2))
+    return p[inversions % 2 == 0] if even else p
 
 
 def build_symmetric(n: int) -> FiniteGroup:
@@ -391,7 +395,6 @@ def build_alternating(n: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with (a, b) stored at index a*|H| + b; componentwise product."""
     nh = h.order
-    names = [f"({na},{nb})" for na in g.element_names for nb in h.element_names]
     gens = [(name, idx * nh + h.identity) for name, idx in g.generators]
     taken = {name for name, _ in gens}
     for name, idx in h.generators:
@@ -399,11 +402,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
             name += "'"
         taken.add(name)
         gens.append((name, g.identity * nh + idx))
-    return _finalize(
-        g.order * nh,
-        lambda u, v: g.table[u // nh, v // nh].astype(np.intp) * nh + h.table[u % nh, v % nh],
-        names, gens, f"{g.label} x {h.label}",
-    )
+
+    def product(u, v):  # row (a, b) maps (a', b') to G[a, a'] |H| + H[b, b']
+        a, b = np.divmod(u.ravel(), nh)
+        return (np.multiply(g.table[a], nh, dtype=np.intp)[:, :, None]
+                + h.table[b][:, None, :]).reshape(len(a), -1)
+
+    names = lambda: [f"({x},{y})" for x in g.element_names for y in h.element_names]
+    return _finalize(g.order * nh, product, names, gens, f"{g.label} x {h.label}")
 
 
 # ---------------------------------------------------------------------------

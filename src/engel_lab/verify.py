@@ -249,10 +249,11 @@ def _measure_class_and_clique(g: FiniteGroup) -> dict:
 
 def _measure_nilpotent_digraph(g: FiniteGroup) -> dict:
     digraph = engel.directed_engel_graph(g)
+    m = digraph.adj
     return {
         "nilpotent": is_nilpotent(g),
         "complete_digraph": digraph.is_complete(),
-        "single_arcs": len(engel.single_arc_pairs(digraph)),
+        "single_arcs": int(np.count_nonzero(m & ~m.T)),
     }
 
 
@@ -260,7 +261,7 @@ def _measure_soluble_digraph(g: FiniteGroup) -> dict:
     return {
         "soluble": is_soluble(g),
         "nilpotent": is_nilpotent(g),
-        "has_single_arc": len(engel.single_arc_pairs(engel.directed_engel_graph(g))) > 0,
+        "has_single_arc": bool(engel.single_arc_mask(g).any()),
     }
 
 
@@ -288,10 +289,9 @@ def _dihedral_proposition_holds(g: FiniteGroup) -> bool:
 
 
 def _measure_dihedral_proposition(g: FiniteGroup) -> dict:
-    return {
-        "proposition_holds": _dihedral_proposition_holds(g),
-        "single_arcs_outside_L": len(engel.single_arcs_outside_left_engel(g)),
-    }
+    holds = _dihedral_proposition_holds(g)
+    single = engel.single_arc_mask(g, outside_left_engel=True)
+    return {"proposition_holds": holds, "single_arcs_outside_L": int(np.count_nonzero(single))}
 
 
 def _measure_s4_singles(g: FiniteGroup) -> dict:
@@ -306,7 +306,7 @@ A4_BICLIQUE_K = ("(1,2,3)", "(1,3,4)", "(1,3,2)", "(1,4,3)")
 
 def _measure_a4(g: FiniteGroup) -> dict:
     graph = engel.reduced_co_engel_graph(g)
-    pos = {name: i for i, name in enumerate(graph.labels)}
+    pos = {g.element_names[e]: i for i, e in enumerate(engel.non_engel_elements(g))}
     return {
         "vertices": graph.n,
         "biclique_K44": verify_biclique(
@@ -483,14 +483,14 @@ def sweep_single_arcs(max_order: int) -> list[dict]:
     rows = []
     for spec_str in _soluble_catalog(max_order):
         g = build_group(spec_str)
-        arcs = engel.single_arcs_outside_left_engel(g)
+        arcs = int(np.count_nonzero(engel.single_arc_mask(g, outside_left_engel=True)))
         rows.append(
             {
                 "group": spec_str,
                 "label": g.label,
                 "order": g.order,
                 "nilpotent": is_nilpotent(g),
-                "single_arcs_outside_L": len(arcs),
+                "single_arcs_outside_L": arcs,
                 "empty": not arcs,
             }
         )

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from engel_lab.analysis import recognize_complete_multipartite
-from engel_lab.graphs import DirectedGraph, SimpleGraph
+from engel_lab.graphs import DirectedGraph, SimpleGraph, pair_list
 from engel_lab.groups import (
     FiniteGroup,
     _cycle_name,
@@ -569,7 +569,7 @@ def from_table(
         raise ValueError(f"{label}: not an {order}x{order} table of indices below {order}")
     if names is None:
         names = tuple(str(i) for i in range(order))
-    return _finalize(order, lambda u, v: table[u, v], names, generators, label)
+    return _finalize(order, lambda u, v: table[u, v], lambda: names, generators, label)
 
 
 def power(g: FiniteGroup, a: int, k: int) -> int:
@@ -599,14 +599,18 @@ def _matrix_from_pairs(n: int, pairs: Iterable[tuple[int, int]], symmetric: bool
     return adj
 
 
-def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> SimpleGraph:
-    return SimpleGraph(_matrix_from_pairs(n, edges, symmetric=True),
-                       tuple(labels) if labels is not None else None)
+def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
+    return SimpleGraph(_matrix_from_pairs(n, edges, symmetric=True))
 
 
-def from_arcs(n: int, arcs: Iterable[tuple[int, int]], labels=None) -> DirectedGraph:
-    return DirectedGraph(_matrix_from_pairs(n, arcs, symmetric=False),
-                         tuple(labels) if labels is not None else None)
+def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> DirectedGraph:
+    return DirectedGraph(_matrix_from_pairs(n, arcs, symmetric=False))
+
+
+def single_arc_pairs(d: DirectedGraph) -> list[tuple[int, int]]:
+    """All (x, y) with x -> y but not y -> x, in lexicographic order."""
+    m = d.adj
+    return pair_list(np.nonzero(m & ~m.T))
 
 
 def validate(g: SimpleGraph) -> None:

@@ -258,14 +258,14 @@ def test_criterion_09_directed():
         g = el.build_group(spec)
         assert el.is_nilpotent(g)
         assert el.directed_engel_graph(g).is_complete(), spec
-        assert el.single_arc_pairs(el.directed_engel_graph(g)) == []
+        assert not el.single_arc_mask(g).any()
     soluble = ["S:3", "S:4", "D:12", "Q:12"]
     soluble += [f"F:{p}:{q}" for p, q in SWEEP_PQ]
     soluble += [f"{fam}:{2 ** (t + 1) * m}" for t, m in SWEEP_TM for fam in ("D", "Q")]
     for spec in soluble:
         g = el.build_group(spec)
         assert el.is_soluble(g) and not el.is_nilpotent(g), spec
-        assert el.single_arc_pairs(el.directed_engel_graph(g)), spec
+        assert el.single_arc_mask(g).any(), spec
     # the dihedral proposition, exhaustively over element pairs
     for t, m in SWEEP_TM:
         g = el.build_group(f"D:{2 ** (t + 1) * m}")
@@ -297,9 +297,10 @@ def test_criterion_09_directed():
 
 @criterion(10, "A_4 reduced graph structure (Thm gen proof)")
 def test_criterion_10_a4():
-    graph = _reduced("A:4")
+    g = el.build_group("A:4")
+    graph = el.reduced_co_engel_graph(g)
     assert graph.n == 8
-    pos = {name: i for i, name in enumerate(graph.labels)}
+    pos = {g.element_names[e]: i for i, e in enumerate(el.non_engel_elements(g))}
     left = [pos[n] for n in ("(2,3,4)", "(1,2,4)", "(2,4,3)", "(1,4,2)")]
     right = [pos[n] for n in ("(1,2,3)", "(1,3,4)", "(1,3,2)", "(1,4,3)")]
     assert el.verify_biclique(graph, left, right)

@@ -1,5 +1,6 @@
 """Graph-analysis: multipartite recognition, cliques, planarity, isomorphism."""
 
+import io
 import itertools
 import json
 
@@ -309,8 +310,9 @@ def test_planarity_agrees_with_genus_formula(a, b):
 
 
 def test_biclique_a4_paper_parts():
-    graph = el.reduced_co_engel_graph(el.build_group("A:4"))
-    pos = {name: i for i, name in enumerate(graph.labels)}
+    g = el.build_group("A:4")
+    graph = el.reduced_co_engel_graph(g)
+    pos = {g.element_names[e]: i for i, e in enumerate(el.non_engel_elements(g))}
     left = [pos[n] for n in ("(2,3,4)", "(1,2,4)", "(2,4,3)", "(1,4,2)")]
     right = [pos[n] for n in ("(1,2,3)", "(1,3,4)", "(1,3,2)", "(1,4,3)")]
     assert el.verify_biclique(graph, left, right)
@@ -422,6 +424,12 @@ def test_graph_json_edges_lexicographic():
     assert d.to_json_obj() == {"n": 3, "edges": [[0, 1], [2, 0]]}
 
 
+def _written(write, *args):
+    out = io.StringIO()
+    write(out, *args)
+    return out.getvalue()
+
+
 def _dot_reference(keyword, op, name, n, labels, pairs):
     # the f-string loop the DOT writer replaced, written out
     lines = [f'{keyword} "{name}" {{']
@@ -459,12 +467,12 @@ def _graph_pairs(draw, directed):
 def test_simple_graph_writers_match_references(drawn, labelled):
     n, edges = drawn
     labels = [f"v{i}" for i in range(n)] if labelled else None
-    g = from_edges(n, [(j, i) for i, j in edges], labels=labels)
+    g = from_edges(n, [(j, i) for i, j in edges])
     ref = {"n": n, "edges": sorted([i, j] for i, j in edges)}
-    assert g.to_json() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+    assert _written(g.write_json) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
     assert g.to_json_obj() == ref and g.edges() == sorted(edges)
     want = _dot_reference("graph", "--", "X", n, labels, sorted(edges))
-    assert g.to_dot("X") == want
+    assert _written(g.write_dot, "X", labels) == want
 
 
 @given(_graph_pairs(directed=True), st.booleans())
@@ -474,8 +482,9 @@ def test_simple_graph_writers_match_references(drawn, labelled):
 def test_directed_graph_writers_match_references(drawn, labelled):
     n, arcs = drawn
     labels = [f"v{i}" for i in range(n)] if labelled else None
-    d = from_arcs(n, arcs, labels=labels)
+    d = from_arcs(n, arcs)
     ref = {"n": n, "edges": sorted([i, j] for i, j in arcs)}
-    assert d.to_json() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
+    assert _written(d.write_json) == json.dumps(ref, sort_keys=True, indent=2) + "\n"
     assert d.to_json_obj() == ref and pair_list(d.pair_arrays()) == sorted(arcs)
-    assert d.to_dot() == _dot_reference("digraph", "->", "G", n, labels, sorted(arcs))
+    want = _dot_reference("digraph", "->", "G", n, labels, sorted(arcs))
+    assert _written(d.write_dot, "G", labels) == want

@@ -1,7 +1,9 @@
 """Engel-core: verdicts, left Engel sets, co-Engel and directed graphs."""
 
+import io
 import re
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+import engel_lab.cli
 from engel_lab import engel
 from engel_lab.groups import element_orders
 from engel_lab.engel import engel_relation, validate_left_engel_baer
+from engel_lab.graphs import pair_list
 from engel_lab.verify import _soluble_catalog
 
 import oracles
@@ -384,7 +388,13 @@ def test_reduced_vertex_order_and_labels():
     graph = el.reduced_co_engel_graph(g)
     kept = el.non_engel_elements(g)
     assert list(kept) == sorted(kept)
-    assert graph.labels == tuple(g.element_names[e] for e in kept)
+    assert graph.n == len(kept)
+    # the DOT export labels vertex i with the name of the i-th element of G \ L(G)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert engel_lab.cli.main(["graph", "D:12", "--reduced", "--dot"]) == 0
+    labels = re.findall(r'^  (\d+) \[label="(.*)"\];$', out.getvalue(), re.M)
+    assert labels == [(str(i), g.element_names[e]) for i, e in enumerate(kept)]
 
 
 def test_full_graph_matches_reduced_on_non_engel_part():
@@ -448,19 +458,19 @@ def test_complement_relation_co_engel_vs_directed():
 
 
 def test_single_arc_pairs_nilpotent_empty():
-    assert el.single_arc_pairs(el.directed_engel_graph(el.build_group("Q:8"))) == []
+    assert not el.single_arc_mask(el.build_group("Q:8")).any()
 
 
 def test_single_arc_pairs_soluble_nonnilpotent_nonempty():
     for spec in ("S:3", "S:4", "D:12", "Q:12", "F:3:7"):
-        d = el.directed_engel_graph(el.build_group(spec))
-        assert el.single_arc_pairs(d)
+        assert el.single_arc_mask(el.build_group(spec)).any()
 
 
 def test_single_arc_pairs_sorted_lexicographically():
-    arcs = el.single_arc_pairs(el.directed_engel_graph(el.build_group("S:4")))
+    g = el.build_group("S:4")
+    arcs = oracles.single_arc_pairs(el.directed_engel_graph(g))
     assert arcs == sorted(arcs)
-    assert len(arcs) == 48  # oracle-frozen
+    assert len(arcs) == np.count_nonzero(el.single_arc_mask(g)) == 48  # oracle-frozen
 
 
 @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
@@ -471,20 +481,23 @@ def test_single_arc_pairs_match_pairwise_loop(drawn):
     arcs = {(i, j) for i, j in pairs if i != j}
     d = oracles.from_arcs(n, arcs)
     want = [(x, y) for x in range(n) for y in range(n) if (x, y) in arcs and (y, x) not in arcs]
-    assert el.single_arc_pairs(d) == want
+    assert oracles.single_arc_pairs(d) == want
 
 
 @pytest.mark.parametrize("spec", ["S:4", "A:4", "F:3:7", "P:(C:3)x(S:3)", "D:12"])
 def test_single_arcs_outside_L_match_pairwise_loop(spec):
     g = el.build_group(spec)
     d, lset = el.directed_engel_graph(g), el.left_engel_set(g)
-    want = [
+    single = [
         (x, y)
         for x in range(g.order)
         for y in range(g.order)
-        if x not in lset and y not in lset and bool(d.adj[x, y]) and not bool(d.adj[y, x])
+        if bool(d.adj[x, y]) and not bool(d.adj[y, x])
     ]
+    want = [(x, y) for x, y in single if x not in lset and y not in lset]
     assert el.single_arcs_outside_left_engel(g) == want
+    assert pair_list(np.nonzero(el.single_arc_mask(g))) == single
+    assert np.count_nonzero(el.single_arc_mask(g, outside_left_engel=True)) == len(want)
 
 
 def test_single_arcs_outside_L_dihedral_empty():

@@ -3,6 +3,7 @@
 import ast
 import functools
 import hashlib
+import itertools
 import re
 import sys
 from collections import Counter
@@ -246,6 +247,15 @@ def test_symmetric_6_order():
     assert el.build_alternating(6).order == 360
 
 
+def test_element_names_are_made_once_on_first_read():
+    calls = []
+    g = groups._finalize(2, lambda u, v: (u + v) % 2, lambda: calls.append(1) or ["e", "t"],
+                         [], "C2")
+    assert calls == []
+    assert g.element_names == ("e", "t") and g.element_names is g.element_names
+    assert calls == [1]
+
+
 # --- direct products
 
 
@@ -274,6 +284,29 @@ def test_product_commutator_identity_exhaustive():
                 v, y = divmod(p2, nk)
                 c = g.commutator(p1, p2)
                 assert c == h.commutator(u, v) * nk + k.commutator(x, y)
+
+
+def _model_product_table(g, h):
+    # (a, b)(c, d) = (ac, bd) at index a*|H| + b, one entry at a time
+    nh = h.order
+    return [[g.mul(p // nh, q // nh) * nh + h.mul(p % nh, q % nh)
+             for q in range(g.order * nh)] for p in range(g.order * nh)]
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("left, right", [
+    ("C:1", "D:6"), ("D:6", "C:1"), ("C:2", "C:3"), ("S:3", "Q:8"), ("Q:8", "S:3"),
+    ("A:4", "F:2:3"), ("C:5", "D:10"), ("P:(C:2)x(C:2)", "C:3"),
+])
+def test_product_table_matches_the_model_product(left, right, rows, monkeypatch):
+    g, h = el.build_group(left), el.build_group(right)
+    if rows:
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", rows * g.order * h.order)
+    p = el.direct_product(g, h)
+    assert p.table.tolist() == _model_product_table(g, h)
+    assert p.table.dtype == np.min_scalar_type(p.order)
+    assert p.element_names == tuple(f"({a},{b})" for a in g.element_names
+                                    for b in h.element_names)
 
 
 def test_product_iterated_commutator_identity():
@@ -793,6 +826,18 @@ def test_cyclic_and_metacyclic_builds_are_pinned():
 
 
 @pytest.mark.parametrize(
+    "family, n", [*(("S", n) for n in range(2, 7)), *(("A", n) for n in range(2, 7))]
+)
+def test_perms_match_the_per_permutation_parity(family, n):
+    # the lexicographic permutations, with the even ones those with an even
+    # number of inversions counted one permutation at a time
+    perms = list(itertools.permutations(range(n)))
+    parity = [sum(a > b for a, b in itertools.combinations(p, 2)) % 2 for p in perms]
+    want = [p for p, odd in zip(perms, parity) if family == "S" or not odd]
+    assert [tuple(p) for p in groups._perms(n, family, even=family == "A").tolist()] == want
+
+
+@pytest.mark.parametrize(
     "family, n", [*(("S", n) for n in range(2, 7)), *(("A", n) for n in range(3, 7))]
 )
 def test_perm_table_matches_the_searchsorted_builder(family, n):
@@ -859,6 +904,20 @@ def test_structure_matches_model_group(spec, data):
         assert np.array_equal(groups.commutator_map.__wrapped__(g), groups.commutator_map(g))
         assert _structure(g) == want
         assert [el.is_normal(g, s) for s in candidates] == normal
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("spec", ["S:5", "A:5", "P:(S:4)x(D:12)", "D:12", "Q:24", "F:3:7",
+                                  "C:9", "P:(C:3)x(D:6)", "F:5:31"])
+def test_commutator_map_matches_table_lookups(spec, rows, monkeypatch):
+    # c[y, a] = a^-1 y^-1 a y, three products read from the table and the
+    # inverses entry by entry (not through g.commutator, which reads the map)
+    g = el.build_group(spec)
+    if rows:
+        monkeypatch.setattr(groups, "_BLOCK_ENTRIES", rows * g.order)
+    t, inv = g.table.tolist(), g.inverse.tolist()
+    want = [[t[t[t[inv[a]][inv[y]]][a]][y] for a in range(g.order)] for y in range(g.order)]
+    assert groups.commutator_map.__wrapped__(g).tolist() == want
 
 
 # D:254 and C:255 have uint8 tables; D:256 and Q:256 have the first uint16

@@ -298,6 +298,34 @@ def test_cli_graph_bytes_are_pinned(args, name, capsys):
     assert _run_cli(["graph", *args], capsys) == (0, want, "")
 
 
+GRAPH_EXPORT_DIGESTS = json.loads((DATA / "graph_exports_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GRAPH_EXPORT_DIGESTS))
+def test_cli_graph_export_digests_are_pinned(command, capsys):
+    # every kind in both formats; the DOT labels are the element names at
+    # the graph's vertex map (G \ L(G) for --reduced)
+    spec, *flags = command.split(" ")
+    code, out, err = _run_cli(["graph", spec, *flags], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GRAPH_EXPORT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("args", [
+    ["S:4", "--directed"], ["A:4", "--reduced"], ["P:(S:3)x(C:2)", "--full"],
+    ["F:3:7", "--directed"],
+])
+def test_cli_graph_json_builds_no_element_name(args, monkeypatch, capsys):
+    # a JSON export prints no name, so the groups it builds never make theirs
+    def refuse(*_):
+        raise AssertionError("an element name was made")
+
+    monkeypatch.setattr(el.groups, "_cycle_name", refuse)
+    monkeypatch.setattr(el.groups, "_power_name", refuse)
+    el.specs._build_cached.cache_clear()
+    assert _run_cli(["graph", *args], capsys)[0] == 0
+
+
 def test_cli_graph_dot(capsys):
     code, out, _ = _run_cli(["graph", "D:6", "--reduced", "--dot"], capsys)
     assert code == 0
