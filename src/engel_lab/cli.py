@@ -69,7 +69,7 @@ def cmd_group(args) -> int:
         "order_census": [[k, v] for k, v in sorted(g.order_census().items())],
         "left_engel": {
             "size": len(lset),
-            "elements": [g.element_names[i] for i in sorted(lset)],
+            "elements": g.make_names(sorted(lset)),
         },
         "fitting_valid": fitting_valid,
         "nilpotent": bool(top.all()),

@@ -102,7 +102,7 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
     inside[list(left_engel_set(g))] = True
     members = np.flatnonzero(inside)
     whole = len(members) == g.order
-    if not whole and not np.array_equal(subgroup_generated(g, members), inside):
+    if not whole and (_hits(g.table, members, members) & ~inside).any():  # L holds e: closed?
         raise ValueError(f"L({g.label}) is not a subgroup")
     if not whole and not is_normal(g, inside):
         raise ValueError(f"L({g.label}) is not normal")
@@ -122,7 +122,7 @@ def validate_left_engel_baer(g: FiniteGroup) -> np.ndarray:
         if is_nilpotent(g, None if closure.all() else closure):
             raise ValueError(
                 f"L({g.label}) is not maximal: the normal closure of "
-                f"<L, {g.element_names[x]}> is nilpotent"
+                f"<L, {g.make_names([x])[0]}> is nilpotent"
             )
     return inside
 

@@ -1,7 +1,7 @@
 """Finite groups as explicit multiplication tables with 0-based element indices.
 
 Every group is a fully materialised Cayley table plus canonical element names
-(made on first read), so computations reduce to exact table arithmetic.
+(made on request), so computations reduce to exact table arithmetic.
 ``table`` and ``inverse`` are read-only arrays of ``np.min_scalar_type(order)``.
 Each builder gives its table as one broadcast expression of row and column
 indices: D_2h, Q_2h and F(p,q) through the metacyclic presentation
@@ -20,10 +20,11 @@ order.
 Every gather is a 1-D take, never a broadcast fancy index (numpy's slow
 path): a table over a subset is taken rows first, then columns, in row
 blocks, and the set of elements such a block holds is one ``np.bincount``
-(``_hits``; ``np.unique`` would import ``numpy.ma``, about 1 MB); a mask is
-read at an index array with ``mask.take(idx)``; and the products ``t[x, y]``
-of two index arrays are one take from ``t.ravel()`` at x*n + y, formed in
-intp (``_products``), since x*n wraps in a uint8 or uint16 table's dtype.
+(``_hits``), as is the order census (``np.unique`` would import ``numpy.ma``,
+about 1 MB; ``graphs.row_classes`` is then the only ``np.unique`` call in
+``src/``); a mask is read at an index array with ``mask.take(idx)``; and the
+products ``t[x, y]`` of two index arrays are one take from ``t.ravel()`` at
+x*n + y, formed in intp (``_products``): x*n wraps in a uint8 or uint16 dtype.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class FiniteGroup:
 
     ``table[i, j]`` is the index of the product (i first, then j).  Identity
     and inverses are precomputed; ``generators`` is a list of (name, index)
-    pairs and ``element_names`` gives a word for every element, made by
-    ``make_names`` on first read.  The scalar accessors return Python ints.
+    pairs; ``make_names(idx)`` names the elements at the indices idx, and the
+    cached ``element_names`` names all.  The scalar accessors return Python ints.
     """
 
     order: int
@@ -83,12 +84,12 @@ class FiniteGroup:
     identity: int
     inverse: np.ndarray
     generators: tuple[tuple[str, int], ...]
-    make_names: Callable[[], Sequence[str]]
+    make_names: Callable[[Sequence[int]], Sequence[str]]
     label: str
 
     @cached_property
     def element_names(self) -> tuple[str, ...]:
-        return tuple(self.make_names())
+        return tuple(self.make_names(range(self.order)))
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -110,8 +111,8 @@ class FiniteGroup:
         raise KeyError(f"group {self.label} has no generator named {name!r}")
 
     def order_census(self) -> dict[int, int]:
-        orders, counts = np.unique(element_orders(self), return_counts=True)
-        return dict(zip(orders.tolist(), counts.tolist()))
+        counts = np.bincount(element_orders(self)).tolist()
+        return {k: v for k, v in enumerate(counts) if v}
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.label}, order={self.order})"
@@ -140,15 +141,16 @@ def _mask(g: FiniteGroup, inside: np.ndarray) -> np.ndarray:
 
 
 def powers(g: FiniteGroup, m: int, x: Optional[np.ndarray] = None) -> np.ndarray:
-    """x^m (m >= 0) for every element x, or for each entry of the index
-    array ``x``, by repeated squaring: about 2 log2(m) table gathers."""
+    """x^m (m >= 0), a new array of the table's dtype, for every element x or
+    for each entry of the index array ``x``: repeated squaring from the first
+    factor on (no product by the identity), about 2 log2(m) table gathers."""
     if m < 0:
         raise ValueError(f"powers takes an exponent m >= 0, got {m}")
     base = np.arange(g.order) if x is None else np.asarray(x)
-    acc = np.full(base.shape, g.identity, dtype=g.table.dtype)
+    acc = None if m else np.full(base.shape, g.identity, dtype=g.table.dtype)
     while m:
         if m & 1:
-            acc = _products(g.table, acc, base)
+            acc = base.astype(g.table.dtype) if acc is None else _products(g.table, acc, base)
         m >>= 1
         if m:
             base = _products(g.table, base, base)
@@ -194,15 +196,15 @@ def element_orders(g: FiniteGroup) -> np.ndarray:
 def _finalize(
     order: int,
     product: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    names: Callable[[], Sequence[str]],
+    names: Callable[[Sequence[int]], Sequence[str]],
     generators: Sequence[tuple[str, int]],
     label: str,
 ) -> FiniteGroup:
     """The group whose table is ``product(u, v)`` for a column u of row indices
     and the row v of all column indices in order, 0..order-1 (intp; a product
     may rely on getting every column); rows are filled in blocks, narrowed to
-    ``np.min_scalar_type(order)``; ``names()``, called on first read, names
-    the elements.  The identity is the first idempotent whose row and column
+    ``np.min_scalar_type(order)``; ``names(idx)`` names the elements at the
+    indices idx.  The identity is the first idempotent whose row and column
     are identity maps, and inverses are found one row block at a time."""
     table = np.empty((order, order), dtype=np.min_scalar_type(order))
     v = np.arange(order)
@@ -235,7 +237,7 @@ def build_cyclic(n: int) -> FiniteGroup:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     gens = [("g", 1 % n)] if n > 1 else []
     return _finalize(n, lambda u, v: (u + v) % n,
-                     lambda: [_power_name("g", i) for i in range(n)], gens, f"C{n}")
+                     lambda idx: [_power_name("g", i) for i in idx], gens, f"C{n}")
 
 
 def _power_name(base: str, i: int) -> str:
@@ -255,11 +257,11 @@ def _metacyclic(n: int, m: int, r: int, s: int, top: str, bottom: str, label: st
         c = u % n * rpow + s * (k >= m)
         return ((c[..., None] + w) % n + (k % m * n)[..., None]).reshape(len(u), -1)
 
-    def names():
+    def names(idx):
         tops = [_power_name(top, i) for i in range(m)]
         bottoms = [_power_name(bottom, j) for j in range(n)]
-        return [f"{x}*{y}" if i and j else x if i else y
-                for i, x in enumerate(tops) for j, y in enumerate(bottoms)]
+        return [f"{tops[i]}*{bottoms[j]}" if i and j else tops[i] if i else bottoms[j]
+                for i, j in (divmod(k, n) for k in idx)]
 
     return _finalize(n * m, product, names, [(top, n if m > 1 else s), (bottom, 1 % n)], label)
 
@@ -362,7 +364,7 @@ def _perm_group(perms: np.ndarray, label: str) -> FiniteGroup:
     index[p @ place] = np.arange(n)
     return _finalize(
         n, lambda u, v: index[p[u.ravel()] @ weight[v.ravel()].T],
-        lambda: [_cycle_name(s) for s in p.tolist()], [], label,
+        lambda idx: [_cycle_name(p[i].tolist()) for i in idx], [], label,
     )
 
 
@@ -408,7 +410,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         return (np.multiply(g.table[a], nh, dtype=np.intp)[:, :, None]
                 + h.table[b][:, None, :]).reshape(len(a), -1)
 
-    names = lambda: [f"({x},{y})" for x in g.element_names for y in h.element_names]
+    def names(idx):
+        a, b = np.divmod(np.fromiter(idx, dtype=np.intp), nh)
+        return [f"({x},{y})" for x, y in zip(g.make_names(a.tolist()), h.make_names(b.tolist()))]
     return _finalize(g.order * nh, product, names, gens, f"{g.label} x {h.label}")
 
 
@@ -424,7 +428,7 @@ def subgroup_generated(g: FiniteGroup, seeds: Iterable[int]) -> np.ndarray:
     seeds = np.flatnonzero(np.bincount(np.fromiter(seeds, dtype=np.intp), minlength=g.order))
     inside = np.arange(g.order) == g.identity
     frontier = np.array([g.identity])
-    while frontier.size:
+    while frontier.size and not inside.all():
         reached = _hits(g.table, frontier, seeds)
         frontier = np.flatnonzero(reached & ~inside)
         inside[frontier] = True
@@ -491,7 +495,8 @@ def derived_series(g: FiniteGroup) -> list[np.ndarray]:
 
 
 def is_soluble(g: FiniteGroup) -> bool:
-    return int(np.count_nonzero(derived_series(g)[-1])) == 1
+    """Whether G is soluble: nilpotent (a central series to G), else by its derived series."""
+    return bool(hypercenter(g).all()) or int(np.count_nonzero(derived_series(g)[-1])) == 1
 
 
 def is_normal(g: FiniteGroup, inside: np.ndarray) -> bool:

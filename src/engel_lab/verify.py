@@ -28,7 +28,6 @@ from .groups import (
     element_orders,
     is_nilpotent,
     is_soluble,
-    subgroup_generated,
 )
 from .spectra import SpectrumReport, closed_form_spectra, fraction_text, spectrum_report
 from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
@@ -227,7 +226,12 @@ def _measure_left_engel(members_of: Callable[[FiniteGroup], list[int]]):
 
 
 def _generated_by(name: str) -> Callable[[FiniteGroup], list[int]]:
-    return lambda g: np.flatnonzero(subgroup_generated(g, [g.generator_index(name)])).tolist()
+    def members(g: FiniteGroup) -> list[int]:  # <y>: y, y^2, ... up to e
+        walk = [g.generator_index(name)]
+        while walk[-1] != g.identity:
+            walk.append(g.mul(walk[-1], walk[0]))
+        return sorted(walk)
+    return members
 
 
 def _s4_klein_four(g: FiniteGroup) -> list[int]:

@@ -569,7 +569,19 @@ def from_table(
         raise ValueError(f"{label}: not an {order}x{order} table of indices below {order}")
     if names is None:
         names = tuple(str(i) for i in range(order))
-    return _finalize(order, lambda u, v: table[u, v], lambda: names, generators, label)
+    return _finalize(order, lambda u, v: table[u, v], lambda idx: [names[i] for i in idx],
+                     generators, label)
+
+
+def closure(g: FiniteGroup, seeds: Iterable[int]) -> list[int]:
+    """The subgroup generated by the seed elements, ascending, by products
+    of seeds one element at a time: the reference for ``subgroup_generated``."""
+    seeds = list(seeds)
+    inside = frontier = {g.identity}
+    while frontier:
+        frontier = {g.mul(x, s) for x in frontier for s in seeds} - inside
+        inside = inside | frontier
+    return sorted(inside)
 
 
 def power(g: FiniteGroup, a: int, k: int) -> int:

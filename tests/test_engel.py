@@ -316,6 +316,20 @@ def test_within_masks_match_the_retabled_subgroup(spec):
         assert el.is_nilpotent(g, sub) is el.is_nilpotent(h)
 
 
+@pytest.mark.parametrize("spec, names", [
+    ("D:12", ["e", "y"]),
+    ("S:4", ["e", "(1,2)", "(3,4)"]),  # misses (1,2)(3,4)
+    ("S:4", ["e", "(1,2,3)", "(1,3,2)", "(1,2)"]),  # S_3 less two transpositions
+])
+def test_baer_walk_refuses_a_planted_l_that_is_not_closed(spec, names, monkeypatch):
+    # a set holding e but not closed under products is no subgroup
+    g = el.build_group(spec)
+    planted = frozenset(name_index(g, name) for name in names)
+    monkeypatch.setattr(engel, "left_engel_set", lambda h: planted)
+    with pytest.raises(ValueError, match=re.escape(f"L({g.label}) is not a subgroup")):
+        validate_left_engel_baer(g)
+
+
 @pytest.mark.parametrize("spec", ["S:4", "A:4"])
 def test_baer_walk_refuses_trivial_l_below_a_non_cyclic_fitting_subgroup(spec, monkeypatch):
     # F(S_4) = F(A_4) = V_4 is not cyclic over 1, so no <1, x> is normal

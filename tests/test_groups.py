@@ -249,11 +249,31 @@ def test_symmetric_6_order():
 
 def test_element_names_are_made_once_on_first_read():
     calls = []
-    g = groups._finalize(2, lambda u, v: (u + v) % 2, lambda: calls.append(1) or ["e", "t"],
-                         [], "C2")
+
+    def names(idx):
+        calls.append(list(idx))
+        return [("e", "t")[i] for i in idx]
+
+    g = groups._finalize(2, lambda u, v: (u + v) % 2, names, [], "C2")
     assert calls == []
     assert g.element_names == ("e", "t") and g.element_names is g.element_names
-    assert calls == [1]
+    assert calls == [[0, 1]]
+
+
+NAME_SPECS = ["C:1", "C:7", "D:4", "D:12", "Q:8", "Q:20", "F:2:3", "F:3:7", "S:2", "S:4",
+              "A:4", "A:5", "P:(C:3)x(D:6)", "P:(S:3)x(Q:8)", "P:(P:(C:2)x(C:3))x(A:4)"]
+
+
+@pytest.mark.parametrize("spec", NAME_SPECS)
+def test_make_names_at_indices_match_the_element_names(spec):
+    # unsorted index lists with repeats, against the names of every element,
+    # also for the group re-tabled by the oracle with its names
+    g = el.build_group(spec)
+    rng = np.random.default_rng(g.order)
+    lists = [[], [g.order - 1, 0, g.order - 1], rng.integers(0, g.order, 30).tolist()]
+    for h in (g, from_table(g.table.tolist(), g.element_names, g.generators, g.label)):
+        for idx in lists:
+            assert list(h.make_names(idx)) == [g.element_names[i] for i in idx], (spec, idx)
 
 
 # --- direct products
@@ -581,6 +601,31 @@ def test_s4_soluble_not_nilpotent():
 
 def test_a5_not_soluble():
     assert not el.is_soluble(el.build_alternating(5))
+
+
+@pytest.mark.parametrize(
+    "spec", list(dict.fromkeys([*workloads.census_specs(), *_soluble_catalog(48), "A:5", "S:5"]))
+)
+def test_solubility_from_the_central_series_matches_the_derived_series(spec):
+    g = el.build_group(spec)
+    assert el.is_soluble(g) is (int(np.count_nonzero(derived_series(g)[-1])) == 1)
+
+
+@pytest.mark.parametrize("spec", workloads.census_specs()[::6] + ["S:4", "A:5", "S:5"])
+def test_subgroup_generated_matches_the_closure_by_definition(spec):
+    # random seed sets, the largest of which generate G; a closure that stops
+    # once it holds G must still agree
+    g = el.build_group(spec)
+    rng = np.random.default_rng(len(spec) * g.order)
+    sets = [rng.choice(g.order, size=k).tolist() for k in (1, 1, 2, 3, 5)]
+    sets += [list(range(g.order)), [g.order - 1, *range(g.order)[::-1]]]
+    generators = [idx for _, idx in g.generators]
+    if generators:
+        sets.append(generators)
+    for seeds in sets:
+        got = np.flatnonzero(el.subgroup_generated(g, seeds)).tolist()
+        assert got == oracles.closure(g, seeds), (spec, seeds)
+    assert any(len(oracles.closure(g, s)) == g.order for s in sets)
 
 
 # --- subgroups / quotients / isomorphism
@@ -926,14 +971,6 @@ def test_commutator_map_matches_table_lookups(spec, rows, monkeypatch):
 NARROW_DTYPE_SPECS = ["D:254", "C:255", "D:256", "Q:256", "D:384", "S:6"]
 
 
-def _closure_by_definition(g, seeds):
-    inside = frontier = {g.identity}
-    while frontier:
-        frontier = {g.mul(x, s) for x in frontier for s in seeds} - inside
-        inside = inside | frontier
-    return sorted(inside)
-
-
 @functools.lru_cache(maxsize=None)
 def _model_upper_central_series(spec):
     model = _model(spec)
@@ -961,7 +998,7 @@ def test_closures_and_series_in_narrow_table_dtypes(spec, rows, monkeypatch):
     last = g.order - 1
     for seeds in ([last], [1, last], [g.order // 2 + 1, last]):
         assert np.flatnonzero(el.subgroup_generated(g, seeds)).tolist() == (
-            _closure_by_definition(g, seeds)
+            oracles.closure(g, seeds)
         ), seeds
     series = [np.flatnonzero(z).tolist() for z in el.upper_central_series(g)]
     if spec[0] in "CD" and g.order <= 256:
@@ -994,6 +1031,11 @@ def test_powers_match_the_scalar_power(spec):
     assert groups.powers(g, 5, x).tolist() == [[power(g, int(a), 5) for a in row] for row in x]
     with pytest.raises(ValueError, match="m >= 0"):
         groups.powers(g, -1)
+    # m = 0 and m = 1 take no product, yet give a new array of the table's dtype
+    for x in (None, np.arange(g.order), np.arange(g.order, dtype=g.table.dtype)):
+        for m in (0, 1):
+            got = groups.powers(g, m, x)
+            assert got.dtype == g.table.dtype and (x is None or not np.shares_memory(got, x))
 
 
 @given(spec=st.sampled_from(POWER_SPECS), m=st.integers(min_value=0, max_value=10**6))

@@ -287,6 +287,30 @@ def test_cli_group_bytes_are_pinned(spec, capsys):
     assert _run_cli(["group", spec], capsys) == (0, want, "")
 
 
+GROUP_CENSUS_DIGESTS = json.loads((DATA / "group_census_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("spec", sorted(GROUP_CENSUS_DIGESTS))
+def test_cli_group_census_digests_are_pinned(spec, capsys):
+    # the sha256 of stdout and the exit code of every group-census command
+    code, out, err = _run_cli(["group", spec], capsys)
+    want = GROUP_CENSUS_DIGESTS[spec]
+    assert (code, err) == (want["exit_code"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("spec", ["S:6", "A:6"])
+def test_cli_group_names_only_the_left_engel_elements(spec, monkeypatch, capsys):
+    # L(G) = {e}: one name is made, not one per element
+    calls = []
+    original = el.groups._cycle_name
+    monkeypatch.setattr(el.groups, "_cycle_name", lambda p: calls.append(p) or original(p))
+    el.specs._build_cached.cache_clear()
+    code, out, _ = _run_cli(["group", spec], capsys)
+    assert code == 0 and json.loads(out)["left_engel"]["elements"] == ["e"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("args, name", [
     (["S:4", "--directed"], "graph_S4_directed.json"),
     (["F:5:11", "--full", "--dot"], "graph_F511_full.dot"),
