@@ -18,7 +18,6 @@ from .engel import (
     non_engel_elements,
     reduced_co_engel_graph,
     single_arc_mask,
-    single_arcs_outside_left_engel,
     validate_left_engel_baer,
 )
 from .graphs import DirectedGraph, SimpleGraph

@@ -17,10 +17,10 @@ from typing import Optional
 
 from . import SCHEMA, engel, topology
 from .analysis import CLIQUE_VERTEX_LIMIT, clique_number, is_planar, recognize_complete_multipartite
-from .groups import FiniteGroup, hypercenter, is_soluble
+from .groups import FiniteGroup, hypercenter
 from .spectra import SPECTRUM_VERTEX_LIMIT, spectrum_report
 from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
-from .verify import run_paper_verification, sweep_single_arcs
+from .verify import FACTS, run_paper_verification, sweep_single_arcs
 
 USAGE_ERROR = 2
 
@@ -54,13 +54,6 @@ def cmd_group(args) -> int:
     spec, g = _build_or_exit(args)
     if g is None:
         return 0
-    lset = engel.left_engel_set(g)
-    try:
-        engel.validate_left_engel_baer(g)
-        fitting_valid = True
-    except ValueError:
-        fitting_valid = False
-    top = hypercenter(g)  # G is nilpotent iff its hypercenter is all of G
     doc = {
         "schema": SCHEMA,
         "spec": spec,
@@ -68,13 +61,13 @@ def cmd_group(args) -> int:
         "order": g.order,
         "order_census": [[k, v] for k, v in sorted(g.order_census().items())],
         "left_engel": {
-            "size": len(lset),
-            "elements": g.make_names(sorted(lset)),
+            "size": FACTS["size"](g),
+            "elements": g.make_names(sorted(engel.left_engel_set(g))),
         },
-        "fitting_valid": fitting_valid,
-        "nilpotent": bool(top.all()),
-        "soluble": is_soluble(g),
-        "hypercenter_order": int(top.sum()),
+        "fitting_valid": FACTS["baer_valid"](g),
+        "nilpotent": FACTS["nilpotent"](g),
+        "soluble": FACTS["soluble"](g),
+        "hypercenter_order": int(hypercenter(g).sum()),
     }
     sys.stdout.write(_dump_json(doc))
     return 0
@@ -96,7 +89,7 @@ def cmd_graph(args) -> int:
         return USAGE_ERROR
     if args.format == "dot":
         kept = engel.non_engel_elements(g) if args.kind == "reduced" else range(g.order)
-        graph.write_dot(sys.stdout, g.label, [g.element_names[e] for e in kept])
+        graph.write_dot(sys.stdout, g.label, g.make_names(kept))
     else:
         graph.write_json(sys.stdout)
     return 0

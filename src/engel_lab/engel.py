@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import DirectedGraph, SimpleGraph, pair_list
+from .graphs import DirectedGraph, SimpleGraph
 from .groups import (
     FiniteGroup,
     _blocks,
@@ -172,8 +172,3 @@ def single_arc_mask(g: FiniteGroup, outside_left_engel: bool = False) -> np.ndar
         inside = list(left_engel_set(g))
         single[inside] = single[:, inside] = False
     return single
-
-
-def single_arcs_outside_left_engel(g: FiniteGroup) -> list[tuple[int, int]]:
-    """Single arcs with both ends outside L(G), in lexicographic order."""
-    return pair_list(np.nonzero(single_arc_mask(g, outside_left_engel=True)))

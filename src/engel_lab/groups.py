@@ -394,6 +394,12 @@ def build_alternating(n: int) -> FiniteGroup:
     return _perm_group(_perms(n, "alternating", even=True), f"A{n}")
 
 
+def _names_by_index(g: FiniteGroup, idx: Sequence[int]) -> dict[int, str]:
+    """The name of each distinct index in idx, made once each."""
+    once = list(dict.fromkeys(idx))
+    return dict(zip(once, g.make_names(once)))
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with (a, b) stored at index a*|H| + b; componentwise product."""
     nh = h.order
@@ -410,9 +416,10 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         return (np.multiply(g.table[a], nh, dtype=np.intp)[:, :, None]
                 + h.table[b][:, None, :]).reshape(len(a), -1)
 
-    def names(idx):
-        a, b = np.divmod(np.fromiter(idx, dtype=np.intp), nh)
-        return [f"({x},{y})" for x, y in zip(g.make_names(a.tolist()), h.make_names(b.tolist()))]
+    def names(idx):  # each distinct factor element is named once
+        a, b = (k.tolist() for k in np.divmod(np.fromiter(idx, dtype=np.intp), nh))
+        ga, hb = _names_by_index(g, a), _names_by_index(h, b)
+        return [f"({ga[x]},{hb[y]})" for x, y in zip(a, b)]
     return _finalize(g.order * nh, product, names, gens, f"{g.label} x {h.label}")
 
 

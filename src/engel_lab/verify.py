@@ -1,12 +1,16 @@
 """One-shot verification sweep: every closed-form claim in scope is checked
 against brute-force computation on the actual groups.
 
-A claim pairs an ``expected`` side, assembled purely from the published
-formulas (parameter arithmetic), with a measure of one built group through the
-group -> graph -> measurement pipeline.  Most claims concern the families the
-paper shows have reduced co-Engel graph K_{a.b} (a parts of size b); those are
-listed once, by ``_realised``, and their expected sides are functions of
-(a, b).  Records are JSON-typed throughout so comparisons are exact.
+A claim is its ``expected`` side on one group, assembled purely from the
+published formulas (parameter arithmetic).  Its computed side is by default
+``{key: FACTS[key](g) for key in expected}``, each key one fact of the built
+group measured through the group -> graph -> measurement pipeline, so the
+two sides have the same keys; claims that need more keep a measure built on
+that table, which ``cli.cmd_group`` and the single-arc survey read too.
+Most claims concern the families the paper shows have reduced co-Engel graph
+K_{a.b} (a parts of size b); those are listed once, by ``_realised``, and
+their expected sides are functions of (a, b).  Records are JSON-typed
+throughout so comparisons are exact.
 """
 
 from __future__ import annotations
@@ -81,11 +85,13 @@ class Claim:
 
 
 def _claim(
-    claim_id: str, spec: str, expected: object, measure: Callable[..., object], *partners: str
+    claim_id: str, spec: str, expected: dict, measure: Optional[Callable] = None, *partners: str
 ) -> Claim:
     """The claim that ``measure`` of the group ``spec`` (followed by the
     ``partners`` groups, if any) equals ``expected``; groups are built when
-    the claim is computed."""
+    the claim is computed.  The default measure reads each key of
+    ``expected`` from ``FACTS``, so the two sides have the same keys."""
+    measure = measure or (lambda g: _facts(g, expected))
     return Claim(
         claim_id, spec, expected, lambda: measure(*map(build_group, (spec, *partners)))
     )
@@ -166,21 +172,11 @@ def _energy_record(rep: SpectrumReport, closed: Optional[SpectrumReport]) -> dic
 
 
 # ---------------------------------------------------------------------------
-# measures: each takes the built group(s) and returns the computed side
+# the group facts a claim can name, and the measures of claims that need more
 
 
 def _shape(g: FiniteGroup):
     return recognize_complete_multipartite(engel.reduced_co_engel_graph(g))
-
-
-def _measure_parts(g: FiniteGroup) -> dict:
-    shape = _shape(g)
-    return {"parts": None if shape is None else list(shape.parts)}
-
-
-def _measure_isomorphic(g: FiniteGroup, h: FiniteGroup) -> dict:
-    pg = _measure_parts(g)["parts"]
-    return {"isomorphic": pg is not None and pg == _measure_parts(h)["parts"]}
 
 
 def _uniform_shape(g: FiniteGroup) -> Optional[MultipartiteShape]:
@@ -190,14 +186,49 @@ def _uniform_shape(g: FiniteGroup) -> Optional[MultipartiteShape]:
     return shape if shape is not None and shape.is_uniform else None
 
 
-def _measure_genus(g: FiniteGroup) -> dict:
+def _genus(g: FiniteGroup) -> Optional[int]:
     shape = _uniform_shape(g)
-    genus = None if shape is None else topology.genus_uniform_multipartite(shape.a, shape.b)
-    return {"genus": genus}
+    return None if shape is None else topology.genus_uniform_multipartite(shape.a, shape.b)
 
 
-def _measure_class(g: FiniteGroup) -> dict:
-    return {"classification": topology.surface_class(_shape(g)).classification}
+def _baer_valid(g: FiniteGroup) -> bool:
+    try:
+        engel.validate_left_engel_baer(g)
+    except ValueError:
+        return False
+    return True
+
+
+# One measure of the group for each key a claim can name; entries call the
+# module's globals at run time, so a patched or traced name is the one used.
+# "planar" is the surface rule's reading (A_4's claim runs is_planar itself).
+FACTS: dict[str, Callable[[FiniteGroup], object]] = {
+    "parts": lambda g: None if (shape := _shape(g)) is None else list(shape.parts),
+    "genus": _genus,
+    "classification": lambda g: topology.surface_class(_shape(g)).classification,
+    "projective": lambda g: topology.surface_class(_shape(g)).projective,
+    "crosscap": lambda g: topology.surface_class(_shape(g)).crosscap,
+    "planar": lambda g: topology.surface_class(_shape(g)).classification == _PLANAR,
+    "clique_at_most_4": lambda g: clique_number(engel.reduced_co_engel_graph(g)) <= 4,
+    "vertices": lambda g: engel.reduced_co_engel_graph(g).n,
+    "size": lambda g: len(engel.left_engel_set(g)),
+    "baer_valid": _baer_valid,
+    "nilpotent": lambda g: is_nilpotent(g),
+    "soluble": lambda g: is_soluble(g),
+    "complete_digraph": lambda g: engel.directed_engel_graph(g).is_complete(),
+    "single_arcs": lambda g: int(np.count_nonzero(engel.single_arc_mask(g))),
+    "has_single_arc": lambda g: bool(engel.single_arc_mask(g).any()),
+    "single_arcs_outside_L": lambda g: int(np.count_nonzero(engel.single_arc_mask(g, True))),
+}
+
+
+def _facts(g: FiniteGroup, keys: Iterable[str]) -> dict:
+    return {key: FACTS[key](g) for key in keys}
+
+
+def _measure_isomorphic(g: FiniteGroup, h: FiniteGroup) -> dict:
+    pg = FACTS["parts"](g)
+    return {"isomorphic": pg is not None and pg == FACTS["parts"](h)}
 
 
 def _measure_energy(g: FiniteGroup) -> dict:
@@ -214,13 +245,8 @@ def _measure_left_engel(members_of: Callable[[FiniteGroup], list[int]]):
     """Measure of L(G) against the members the paper names for it."""
 
     def measure(g: FiniteGroup) -> dict:
-        lset = engel.left_engel_set(g)
-        try:
-            engel.validate_left_engel_baer(g)
-            baer = True
-        except ValueError:
-            baer = False
-        return {"matches": sorted(lset) == members_of(g), "baer_valid": baer, "size": len(lset)}
+        matches = sorted(engel.left_engel_set(g)) == members_of(g)
+        return {"matches": matches, **_facts(g, ("baer_valid", "size"))}
 
     return measure
 
@@ -239,42 +265,12 @@ def _s4_klein_four(g: FiniteGroup) -> list[int]:
     return sorted(i for i, nm in enumerate(g.element_names) if nm in names)
 
 
-def _measure_projective(g: FiniteGroup) -> dict:
-    sc = topology.surface_class(_shape(g))
-    return {"projective": sc.projective, "planar": sc.classification == topology.CLASS_PLANAR}
-
-
-def _measure_class_and_clique(g: FiniteGroup) -> dict:
-    return {
-        **_measure_class(g),
-        "clique_at_most_4": clique_number(engel.reduced_co_engel_graph(g)) <= 4,
-    }
-
-
-def _measure_nilpotent_digraph(g: FiniteGroup) -> dict:
-    digraph = engel.directed_engel_graph(g)
-    m = digraph.adj
-    return {
-        "nilpotent": is_nilpotent(g),
-        "complete_digraph": digraph.is_complete(),
-        "single_arcs": int(np.count_nonzero(m & ~m.T)),
-    }
-
-
-def _measure_soluble_digraph(g: FiniteGroup) -> dict:
-    return {
-        "soluble": is_soluble(g),
-        "nilpotent": is_nilpotent(g),
-        "has_single_arc": bool(engel.single_arc_mask(g).any()),
-    }
-
-
-def _dihedral_proposition_holds(g: FiniteGroup) -> bool:
+def _measure_dihedral_proposition(g: FiniteGroup) -> dict:
     """The three directed-graph bullets for D_2n, checked over all pairs:
     rotations a, b have arcs both ways; from a rotation a to a reflection b
     there is an arc, and one back iff |[b, a]| is a power of 2; between
     reflections there are arcs both ways iff |ab| is a power of 2, and
-    otherwise none."""
+    otherwise none; the table counts the single arcs outside L(G)."""
     arc = engel.engel_relation(g).T  # arc[a, b]: a -> b, off the diagonal
     orders = element_orders(g)
     pow2 = (orders & (orders - 1)) == 0
@@ -283,24 +279,20 @@ def _dihedral_proposition_holds(g: FiniteGroup) -> bool:
     both = arc & arc.T
     rot_ref = rot[:, None] & ~rot[None, :]
     ref_ref = ~rot[:, None] & ~rot[None, :] & off
-    return bool(
+    holds = (
         both[rot[:, None] & rot[None, :] & off].all()
         and arc[rot_ref].all()
         and (arc.T == pow2[commutator_map(g)])[rot_ref].all()  # [b, a] = c[a, b]
         and (both == pow2[g.table])[ref_ref].all()
         and (arc == arc.T)[ref_ref].all()
     )
-
-
-def _measure_dihedral_proposition(g: FiniteGroup) -> dict:
-    holds = _dihedral_proposition_holds(g)
-    single = engel.single_arc_mask(g, outside_left_engel=True)
-    return {"proposition_holds": holds, "single_arcs_outside_L": int(np.count_nonzero(single))}
+    return {"proposition_holds": bool(holds),
+            "single_arcs_outside_L": FACTS["single_arcs_outside_L"](g)}
 
 
 def _measure_s4_singles(g: FiniteGroup) -> dict:
-    arcs = np.array(engel.single_arcs_outside_left_engel(g), dtype=np.intp)
-    pattern = (element_orders(g)[arcs.reshape(-1, 2)] == (3, 2)).all()
+    arcs = np.transpose(np.nonzero(engel.single_arc_mask(g, outside_left_engel=True)))
+    pattern = (element_orders(g)[arcs] == (3, 2)).all()  # each row (tail, head)
     return {"nonempty": len(arcs) > 0, "order_3_to_2": bool(pattern)}
 
 
@@ -312,11 +304,10 @@ def _measure_a4(g: FiniteGroup) -> dict:
     graph = engel.reduced_co_engel_graph(g)
     pos = {g.element_names[e]: i for i, e in enumerate(engel.non_engel_elements(g))}
     return {
-        "vertices": graph.n,
+        **_facts(g, ("vertices", "clique_at_most_4")),
         "biclique_K44": verify_biclique(
             graph, [pos[n] for n in A4_BICLIQUE_H], [pos[n] for n in A4_BICLIQUE_K]
         ),
-        "clique_at_most_4": clique_number(graph) <= 4,
         "planar": is_planar(graph),
     }
 
@@ -328,12 +319,12 @@ def _measure_a4(g: FiniteGroup) -> dict:
 def _claims_realised() -> Iterator[Claim]:
     for family, spec, a, b in _realised():
         shape_id, genus_id, _, energy_id, zagreb_id = _FAMILY_IDS[family]
-        yield _claim(shape_id, spec, {"parts": [b] * a}, _measure_parts)
+        yield _claim(shape_id, spec, {"parts": [b] * a})
         if family == "dq" and spec.startswith("D:"):
             q_spec = "Q" + spec[1:]
             yield _claim(shape_id, spec, {"isomorphic": True}, _measure_isomorphic, q_spec)
         genus = topology.genus_uniform_multipartite(a, b)
-        yield _claim(genus_id, spec, {"genus": genus}, _measure_genus)
+        yield _claim(genus_id, spec, {"genus": genus})
         closed = closed_form_spectra(MultipartiteShape.uniform(a, b))
         yield _claim(energy_id, spec, _energy_record(closed, closed), _measure_energy)
         if zagreb_id:
@@ -345,9 +336,7 @@ def _claims_realised() -> Iterator[Claim]:
             yield _claim("left-engel", spec, expected, _measure_left_engel(_generated_by(name)))
     for family, spec, a, b in _realised(SWEEP_M_CLASS):
         classification = _CLASSES[family].get((a, b), topology.CLASS_GENUS_5_PLUS)
-        yield _claim(
-            _FAMILY_IDS[family][2], spec, {"classification": classification}, _measure_class
-        )
+        yield _claim(_FAMILY_IDS[family][2], spec, {"classification": classification})
 
 
 def _claims_other() -> Iterator[Claim]:
@@ -359,7 +348,7 @@ def _claims_other() -> Iterator[Claim]:
         l = parse_group_spec(h).order()
         for gname in BIPAR_G:
             m, n = shapes[gname]
-            yield _claim("thm-bipar", f"P:({h})x({gname})", {"parts": [l * n] * m}, _measure_parts)
+            yield _claim("thm-bipar", f"P:({h})x({gname})", {"parts": [l * n] * m})
     yield _claim(
         "left-engel",
         "S:4",
@@ -368,18 +357,13 @@ def _claims_other() -> Iterator[Claim]:
     )
     for spec in ("A:4", "P:(C:3)x(D:6)"):
         expected = {"classification": topology.CLASS_TOROIDAL, "clique_at_most_4": True}
-        yield _claim("genus-class-gen", spec, expected, _measure_class_and_clique)
+        yield _claim("genus-class-gen", spec, expected)
 
     # the three projective groups, via the surface pipeline
     for spec in ("D:6", "D:12", "Q:12"):
-        yield _claim("projective", spec, {"projective": True, "planar": True}, _measure_projective)
+        yield _claim("projective", spec, {"projective": True, "planar": True})
     # D_6 -> K_3 carries the crosscap-1 formula value
-    yield _claim(
-        "projective",
-        "D:6",
-        {"crosscap": 1},
-        lambda g: {"crosscap": topology.surface_class(_shape(g)).crosscap},
-    )
+    yield _claim("projective", "D:6", {"crosscap": 1})
     # the proof's obstructions: a K_{m,n} subgraph of crosscap 2
     for spec, (m, n) in (("A:4", (4, 4)), ("P:(C:3)x(D:6)", (6, 3))):
         yield _claim(
@@ -388,16 +372,16 @@ def _claims_other() -> Iterator[Claim]:
             {f"crosscap_K{m}{n}": 2, "projective": False},
             lambda g, m=m, n=n: {
                 f"crosscap_K{m}{n}": topology.crosscap_complete_bipartite(m, n),
-                "projective": topology.surface_class(_shape(g)).projective,
+                "projective": FACTS["projective"](g),
             },
         )
 
     for spec in ("Q:8", "C:6", "D:8"):
         expected = {"nilpotent": True, "complete_digraph": True, "single_arcs": 0}
-        yield _claim("directed-single-arcs", spec, expected, _measure_nilpotent_digraph)
+        yield _claim("directed-single-arcs", spec, expected)
     for spec in ["S:3", "S:4"] + [s for fam, s, _, _ in _realised() if fam != "d2m"]:
         expected = {"soluble": True, "nilpotent": False, "has_single_arc": True}
-        yield _claim("directed-single-arcs", spec, expected, _measure_soluble_digraph)
+        yield _claim("directed-single-arcs", spec, expected)
     for t, m in SWEEP_TM:
         yield _claim(
             "directed-single-arcs",
@@ -487,15 +471,7 @@ def sweep_single_arcs(max_order: int) -> list[dict]:
     rows = []
     for spec_str in _soluble_catalog(max_order):
         g = build_group(spec_str)
-        arcs = int(np.count_nonzero(engel.single_arc_mask(g, outside_left_engel=True)))
-        rows.append(
-            {
-                "group": spec_str,
-                "label": g.label,
-                "order": g.order,
-                "nilpotent": is_nilpotent(g),
-                "single_arcs_outside_L": arcs,
-                "empty": not arcs,
-            }
-        )
+        facts = _facts(g, ("nilpotent", "single_arcs_outside_L"))
+        rows.append({"group": spec_str, "label": g.label, "order": g.order, **facts,
+                     "empty": not facts["single_arcs_outside_L"]})
     return rows

@@ -15,6 +15,7 @@ import numpy as np
 import engel_lab as el
 from engel_lab.analysis import MultipartiteShape
 from engel_lab.engel import validate_left_engel_baer
+from engel_lab.graphs import pair_list
 from engel_lab.topology import (
     CLASS_GENUS_5_PLUS,
     CLASS_PLANAR,
@@ -286,10 +287,10 @@ def test_criterion_09_directed():
                         assert fwd and bwd, (t, m, a, b)
                     else:
                         assert not fwd and not bwd, (t, m, a, b)
-        assert el.single_arcs_outside_left_engel(g) == []
-    arcs = el.single_arcs_outside_left_engel(el.build_group("S:4"))
-    assert arcs
+        assert pair_list(np.nonzero(el.single_arc_mask(g, outside_left_engel=True))) == []
     g = el.build_group("S:4")
+    arcs = pair_list(np.nonzero(el.single_arc_mask(g, outside_left_engel=True)))
+    assert arcs
     assert all(
         g.element_order(x) == 3 and g.element_order(y) == 2 for x, y in arcs
     )

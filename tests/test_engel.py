@@ -509,19 +509,20 @@ def test_single_arcs_outside_L_match_pairwise_loop(spec):
         if bool(d.adj[x, y]) and not bool(d.adj[y, x])
     ]
     want = [(x, y) for x, y in single if x not in lset and y not in lset]
-    assert el.single_arcs_outside_left_engel(g) == want
+    assert pair_list(np.nonzero(el.single_arc_mask(g, outside_left_engel=True))) == want
     assert pair_list(np.nonzero(el.single_arc_mask(g))) == single
     assert np.count_nonzero(el.single_arc_mask(g, outside_left_engel=True)) == len(want)
 
 
 def test_single_arcs_outside_L_dihedral_empty():
     for spec in ("D:12", "D:24", "D:48"):
-        assert el.single_arcs_outside_left_engel(el.build_group(spec)) == []
+        g = el.build_group(spec)
+        assert pair_list(np.nonzero(el.single_arc_mask(g, outside_left_engel=True))) == []
 
 
 def test_single_arcs_outside_L_s4():
     g = el.build_group("S:4")
-    arcs = el.single_arcs_outside_left_engel(g)
+    arcs = pair_list(np.nonzero(el.single_arc_mask(g, outside_left_engel=True)))
     assert len(arcs) == 24  # oracle-frozen
     for x, y in arcs:
         assert g.element_order(x) == 3 and g.element_order(y) == 2

@@ -226,14 +226,40 @@ def test_verification_genus_and_energy_fail_on_a_graph_that_is_not_k_a_b(monkeyp
     # S:4's reduced graph is not complete multipartite: the genus and energy
     # measures give a computed side that fails the claim instead of raising
     g = el.build_group("S:4")
-    genus = el.verify._claim("genus-formula-D", "S:4", {"genus": 0}, el.verify._measure_genus)
+    genus = el.verify._claim("genus-formula-D", "S:4", {"genus": 0})
     assert genus.compute() == {"genus": None} != genus.expected
     assert el.verify._measure_energy(g)["polys_match_closed_form"] is False
     # a complete multipartite graph with unequal parts has no closed form either
     monkeypatch.setattr(el.verify, "recognize_complete_multipartite",
                         lambda graph: MultipartiteShape((3, 2, 2)))
-    assert el.verify._measure_genus(g) == {"genus": None}
+    assert genus.compute() == {"genus": None}
     assert el.verify._measure_energy(g)["polys_match_closed_form"] is False
+
+
+def test_verification_computed_sides_have_the_expected_keys():
+    # a claim is its expected side: every record computes exactly its keys
+    records = run_paper_verification()
+    assert all(r.computed.keys() == r.expected.keys() for r in records)
+    # a claim whose keys are all facts is measured from FACTS alone, so its
+    # computed side keeps those keys on a group that fails it: S:4 is not
+    # K_{a.b} and has single arcs, A:5 is not soluble either
+    facts = el.verify.FACTS
+    default = [c for c in el.verify.all_claims() if c.expected.keys() <= facts.keys()]
+    assert {c.claim_id for c in default} == {
+        "thm-dihed", "thm-pq", "thm-bipar", "genus-formula-D", "genus-formula-F",
+        "genus-class-D", "genus-class-F", "genus-class-gen", "projective",
+        "directed-single-arcs",
+    }
+    for claim in default:
+        sides = [el.verify._claim(claim.claim_id, spec, claim.expected).compute()
+                 for spec in ("S:4", "A:5")]
+        assert all(side.keys() == claim.expected.keys() for side in sides), claim
+        assert any(side != claim.expected for side in sides), claim
+
+
+def test_every_group_fact_is_named_by_a_claim():
+    named = set().union(*(c.expected for c in el.verify.all_claims()))
+    assert named >= el.verify.FACTS.keys()
 
 
 # --- CLI
@@ -309,6 +335,20 @@ def test_cli_group_names_only_the_left_engel_elements(spec, monkeypatch, capsys)
     code, out, _ = _run_cli(["group", spec], capsys)
     assert code == 0 and json.loads(out)["left_engel"]["elements"] == ["e"]
     assert len(calls) == 1
+
+
+def test_product_names_each_factor_element_once(monkeypatch, capsys):
+    # the 288 names of S_4 x D_12 name each of S_4's 24 elements once, and a
+    # DOT export of S_4 x C_3 takes its 72 labels from those 24 names
+    calls = []
+    original = el.groups._cycle_name
+    monkeypatch.setattr(el.groups, "_cycle_name", lambda p: calls.append(p) or original(p))
+    names = el.direct_product(el.build_symmetric(4), el.build_dihedral(12)).element_names
+    assert len(set(names)) == 288 and len(calls) == 24
+    calls.clear()
+    el.specs._build_cached.cache_clear()
+    code, out, _ = _run_cli(["graph", "P:(S:4)x(C:3)", "--full", "--dot"], capsys)
+    assert code == 0 and out.count("label=") == 72 and len(calls) == 24
 
 
 @pytest.mark.parametrize("args, name", [
@@ -566,6 +606,18 @@ def test_cli_sweep_single_arcs(capsys):
     assert nonempty == ["S:4"]  # survey-frozen: only S_4 up to order 24
 
 
+SWEEP_DIGESTS = json.loads((DATA / "sweep_single_arcs_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("max_order", sorted(SWEEP_DIGESTS, key=int))
+def test_cli_sweep_single_arcs_digests_are_pinned(max_order, capsys):
+    # the sha256 of stdout and the exit code of the whole survey document
+    code, out, err = _run_cli(["sweep-single-arcs", "--max-order", max_order], capsys)
+    want = SWEEP_DIGESTS[max_order]
+    assert (code, err) == (want["exit_code"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]
+
+
 def test_cli_graph_reduced_of_engel_group_usage_error(capsys):
     code = main(["graph", "Q:8", "--reduced"])
     assert code == 2
@@ -611,6 +663,22 @@ def test_cli_import_leaves_networkx_unloaded():
         text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper"], ["sweep-single-arcs"], ["group", "S:6"],
+])
+def test_commands_leave_networkx_unloaded(argv):
+    # the claims' "planar" fact is the surface rule's reading, and is_planar
+    # (A:4's claim) refuses A:4 by Euler's bound before importing networkx
+    script = (
+        "import io, sys, contextlib, engel_lab.cli as c\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = c.main({argv!r})\n"
+        "print(code, 'networkx' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0 False\n")
 
 
 def test_group_and_graph_commands_leave_numpy_ma_unloaded():
