@@ -9,7 +9,7 @@ clique meets each class at most once, so ω(G) is the quotient's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -117,9 +117,23 @@ def clique_number(g: SimpleGraph) -> int:
     return best
 
 
+def _biclique_sides(parts: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """(|L|, |R|) for each split of the parts into two nonempty sides, each
+    split once: merging the parts on each side exhibits a K_{|L|,|R|}."""
+    total = sum(parts)
+    for split in range(1, 1 << (len(parts) - 1)):
+        left = sum(p for i, p in enumerate(parts) if split >> i & 1)
+        yield left, total - left
+
+
 def is_planar(g: SimpleGraph) -> bool:
-    """Exact planarity via the left-right test (networkx), after Euler's
-    bound: a planar graph on n >= 3 vertices has at most 3n - 6 edges."""
+    """Exact planarity.  A recognised K_{n_1,...,n_k} is planar iff it has no
+    K_5 and no K_{3,3} (Kuratowski): k <= 4 and no split of its parts into two
+    sides has both sides >= 3.  Any other graph goes to Euler's bound (at most
+    3n - 6 edges on n >= 3 vertices), then to the left-right test (networkx)."""
+    shape = recognize_complete_multipartite(g) if g.n else None
+    if shape is not None:
+        return shape.a <= 4 and all(min(s) < 3 for s in _biclique_sides(shape.parts))
     if g.n >= 3 and g.n_edges() > 3 * g.n - 6:
         return False
     import networkx as nx  # a third of the package's import time; only needed here

@@ -15,8 +15,6 @@ from functools import lru_cache, reduce
 from . import groups
 from .groups import FiniteGroup
 
-FAMILIES = ("C", "D", "Q", "F", "S", "A", "P")
-
 FAMILY_NAMES = {
     "C": "cyclic",
     "D": "dihedral",
@@ -51,7 +49,7 @@ class GroupSpec:
     factors: tuple["GroupSpec", ...] = ()
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_NAMES:
             raise GroupSpecError(f"unknown family {self.family!r}")
         if self.family == "P":
             if self.params or len(self.factors) < 2:

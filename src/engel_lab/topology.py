@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import MultipartiteShape
+from .analysis import MultipartiteShape, _biclique_sides
 from .graphs import SimpleGraph
 from .spectra import fraction_text
 
@@ -126,13 +126,7 @@ class SurfaceClass:
 def _not_projective_by_biclique(parts: tuple[int, ...]) -> bool:
     """True when merging the parts into two sides exhibits a K_{m,n} subgraph
     of crosscap >= 2 (the paper's own obstruction style)."""
-    k = len(parts)
-    for split in range(1, 1 << (k - 1)):
-        left = sum(parts[i] for i in range(k) if split >> i & 1)
-        right = sum(parts) - left
-        if left >= 3 and right >= 3 and crosscap_complete_bipartite(left, right) >= 2:
-            return True
-    return False
+    return any(min(s) >= 3 and crosscap_complete_bipartite(*s) >= 2 for s in _biclique_sides(parts))
 
 
 def surface_class(shape: Optional[MultipartiteShape]) -> SurfaceClass:

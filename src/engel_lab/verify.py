@@ -32,6 +32,7 @@ from .groups import (
     element_orders,
     is_nilpotent,
     is_soluble,
+    subgroup_generated,
 )
 from .spectra import SpectrumReport, closed_form_spectra, fraction_text, spectrum_report
 from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
@@ -84,17 +85,12 @@ class Claim:
     compute: Callable[[], object]
 
 
-def _claim(
-    claim_id: str, spec: str, expected: dict, measure: Optional[Callable] = None, *partners: str
-) -> Claim:
-    """The claim that ``measure`` of the group ``spec`` (followed by the
-    ``partners`` groups, if any) equals ``expected``; groups are built when
-    the claim is computed.  The default measure reads each key of
+def _claim(claim_id: str, spec: str, expected: dict, measure: Optional[Callable] = None) -> Claim:
+    """The claim that ``measure`` of the group ``spec``, built when the claim
+    is computed, equals ``expected``.  The default measure reads each key of
     ``expected`` from ``FACTS``, so the two sides have the same keys."""
     measure = measure or (lambda g: _facts(g, expected))
-    return Claim(
-        claim_id, spec, expected, lambda: measure(*map(build_group, (spec, *partners)))
-    )
+    return Claim(claim_id, spec, expected, lambda: measure(build_group(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +197,13 @@ def _baer_valid(g: FiniteGroup) -> bool:
 
 # One measure of the group for each key a claim can name; entries call the
 # module's globals at run time, so a patched or traced name is the one used.
-# "planar" is the surface rule's reading (A_4's claim runs is_planar itself).
 FACTS: dict[str, Callable[[FiniteGroup], object]] = {
     "parts": lambda g: None if (shape := _shape(g)) is None else list(shape.parts),
     "genus": _genus,
     "classification": lambda g: topology.surface_class(_shape(g)).classification,
     "projective": lambda g: topology.surface_class(_shape(g)).projective,
     "crosscap": lambda g: topology.surface_class(_shape(g)).crosscap,
-    "planar": lambda g: topology.surface_class(_shape(g)).classification == _PLANAR,
+    "planar": lambda g: is_planar(engel.reduced_co_engel_graph(g)),
     "clique_at_most_4": lambda g: clique_number(engel.reduced_co_engel_graph(g)) <= 4,
     "vertices": lambda g: engel.reduced_co_engel_graph(g).n,
     "size": lambda g: len(engel.left_engel_set(g)),
@@ -226,9 +221,12 @@ def _facts(g: FiniteGroup, keys: Iterable[str]) -> dict:
     return {key: FACTS[key](g) for key in keys}
 
 
-def _measure_isomorphic(g: FiniteGroup, h: FiniteGroup) -> dict:
-    pg = FACTS["parts"](g)
-    return {"isomorphic": pg is not None and pg == FACTS["parts"](h)}
+def _measure_isomorphic(partner: str) -> Callable[[FiniteGroup], dict]:
+    """Measure of whether the reduced graph has the parts of the group ``partner``'s."""
+    def measure(g: FiniteGroup) -> dict:
+        pg = FACTS["parts"](g)
+        return {"isomorphic": pg is not None and pg == FACTS["parts"](build_group(partner))}
+    return measure
 
 
 def _measure_energy(g: FiniteGroup) -> dict:
@@ -252,11 +250,8 @@ def _measure_left_engel(members_of: Callable[[FiniteGroup], list[int]]):
 
 
 def _generated_by(name: str) -> Callable[[FiniteGroup], list[int]]:
-    def members(g: FiniteGroup) -> list[int]:  # <y>: y, y^2, ... up to e
-        walk = [g.generator_index(name)]
-        while walk[-1] != g.identity:
-            walk.append(g.mul(walk[-1], walk[0]))
-        return sorted(walk)
+    def members(g: FiniteGroup) -> list[int]:
+        return np.flatnonzero(subgroup_generated(g, [g.generator_index(name)])).tolist()
     return members
 
 
@@ -304,11 +299,10 @@ def _measure_a4(g: FiniteGroup) -> dict:
     graph = engel.reduced_co_engel_graph(g)
     pos = {g.element_names[e]: i for i, e in enumerate(engel.non_engel_elements(g))}
     return {
-        **_facts(g, ("vertices", "clique_at_most_4")),
+        **_facts(g, ("vertices", "clique_at_most_4", "planar")),
         "biclique_K44": verify_biclique(
             graph, [pos[n] for n in A4_BICLIQUE_H], [pos[n] for n in A4_BICLIQUE_K]
         ),
-        "planar": is_planar(graph),
     }
 
 
@@ -322,7 +316,7 @@ def _claims_realised() -> Iterator[Claim]:
         yield _claim(shape_id, spec, {"parts": [b] * a})
         if family == "dq" and spec.startswith("D:"):
             q_spec = "Q" + spec[1:]
-            yield _claim(shape_id, spec, {"isomorphic": True}, _measure_isomorphic, q_spec)
+            yield _claim(shape_id, spec, {"isomorphic": True}, _measure_isomorphic(q_spec))
         genus = topology.genus_uniform_multipartite(a, b)
         yield _claim(genus_id, spec, {"genus": genus})
         closed = closed_form_spectra(MultipartiteShape.uniform(a, b))

@@ -661,6 +661,20 @@ def complete_multipartite_graph(parts: Iterable[int]) -> SimpleGraph:
     return SimpleGraph(part_of[:, None] != part_of[None, :])
 
 
+def _partitions(n, largest):
+    """The partitions of n into parts of size at most ``largest``, descending."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def part_multisets(max_n):
+    """Every multiset of part sizes, sorted descending, with sum 1..max_n."""
+    return [p for n in range(1, max_n + 1) for p in _partitions(n, n)]
+
+
 # ---------------------------------------------------------------------------
 # subgroups, quotients, isomorphism tests and element lookup on the package's
 # groups and graphs

@@ -231,6 +231,7 @@ def test_planar_agrees_with_kuratowski_oracle_named():
     cases = [
         complete_multipartite_graph(p)
         for p in [(1, 1, 1), (1,) * 4, (1,) * 5, (3, 3), (2, 2, 2), (2,) * 4, (4, 4, 4)]
+        + oracles.part_multisets(9)
     ]
     cases.append(el.reduced_co_engel_graph(el.build_group("A:4")))
     cases.append(el.reduced_co_engel_graph(el.build_group("D:24")))
@@ -277,6 +278,16 @@ def test_planar_matches_networkx_on_dense_reduced_graphs(monkeypatch):
     assert all(g.n_edges() > 3 * g.n - 6 for g in graphs)
     monkeypatch.setattr(nx, "check_planarity", None)
     assert [el.is_planar(g) for g in graphs] == [False, False]
+
+
+def test_planar_rule_alone_decides_every_small_multipartite_graph(monkeypatch):
+    # networkx's verdict first; with its test gone, the part-size rule must
+    # still give that verdict on every K_{n_1,...,n_k} with n <= 16
+    cases = [complete_multipartite_graph(p) for p in oracles.part_multisets(16)]
+    assert len(cases) == 914
+    verdicts = [_nx_planar(g) for g in cases]
+    monkeypatch.setattr(nx, "check_planarity", None)
+    assert [el.is_planar(g) for g in cases] == verdicts
 
 
 @pytest.mark.parametrize(

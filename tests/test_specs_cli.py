@@ -655,7 +655,8 @@ def test_cli_entry_point_subprocess():
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    # only is_planar needs networkx, and it imports it past Euler's bound
+    # only is_planar needs networkx, and it imports it only for a graph that
+    # is not complete multipartite and is within Euler's bound
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, engel_lab.cli; print('networkx' in sys.modules)"],
@@ -666,11 +667,13 @@ def test_cli_import_leaves_networkx_unloaded():
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-paper"], ["sweep-single-arcs"], ["group", "S:6"],
+    ["verify-paper"], ["sweep-single-arcs"], ["group", "S:6"], ["analyze", "D:6"],
+    ["analyze", "D:12"],
 ])
 def test_commands_leave_networkx_unloaded(argv):
-    # the claims' "planar" fact is the surface rule's reading, and is_planar
-    # (A:4's claim) refuses A:4 by Euler's bound before importing networkx
+    # every graph these commands test with is_planar (the "planar" fact of
+    # D:6, D:12, Q:12 and A:4, and analyze's) is complete multipartite, so
+    # the part-size rule decides it before networkx would be imported
     script = (
         "import io, sys, contextlib, engel_lab.cli as c\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -249,22 +249,13 @@ def test_surface_class_unknown_for_unrecognized():
     assert sc.classification == CLASS_UNKNOWN and sc.genus is None
 
 
-def _partitions(n, largest):
-    """The partitions of n into parts of size at most ``largest``, descending."""
-    if n == 0:
-        yield ()
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first, *rest)
-
-
 def test_surface_from_shape_matches_golden_on_every_small_partition():
     # Every branch: K_n (K_1 and K_2 included), the star K_{m,1}, K_{m,n},
     # K_{mn,n,n} (uniform or not, the octahedron), K_{4.2}, other uniform
     # shapes and the unknown rest.  One-part shapes with a part of size >= 2
     # are edgeless graphs on which the rule raises; no group in scope has one.
     golden = json.loads((Path(__file__).parent / "data" / "surface_shapes.json").read_text())
-    shapes = [p for n in range(1, 13) for p in _partitions(n, n) if len(p) > 1 or p == (1,)]
+    shapes = [p for p in oracles.part_multisets(12) if len(p) > 1 or p == (1,)]
     assert [tuple(row["parts"]) for row in golden] == shapes
     for row in golden:
         sc = surface_class(MultipartiteShape(tuple(row["parts"])))
