@@ -180,7 +180,11 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_sweep_single_arcs(args) -> int:
-    rows = sweep_single_arcs(args.max_order)
+    try:
+        rows = sweep_single_arcs(args.max_order)
+    except GroupSpecError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     sys.stdout.write(_dump_json({"schema": SCHEMA, "groups": rows}))
     return 0
 

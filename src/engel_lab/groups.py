@@ -1,21 +1,21 @@
 """Finite groups as explicit multiplication tables with 0-based element indices.
 
-Every group is a fully materialised Cayley table plus canonical element names
-(made on request), so computations reduce to exact table arithmetic.
+A group is its fully materialised Cayley table, identity, inverses and element
+names (made on request), so computations reduce to exact table arithmetic;
 ``table`` and ``inverse`` are read-only arrays of ``np.min_scalar_type(order)``.
-Each builder gives its table as one broadcast expression of row and column
-indices: D_2h, Q_2h and F(p,q) through the metacyclic presentation
-<a, b : b^n = 1, a^m = b^s, a^-1 b a = b^r> with (n, m, r, s) = (h, 2, h-1, 0),
-(h, 2, h-1, h/2) and (q, p, r, 0), and a permutation group through one integer
-product of the permutations with a weight matrix (each product's base-k code)
-and a dense lookup from codes to indices.  The structure functions (series,
-normality, closure) are array expressions over the table and the commutator
-map ``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent group,
-whose commutator map also gives the subgroup's own series.  ``powers`` takes
-every element to the m-th power by repeated squaring, and element orders
-come from a few such powers per prime dividing the order.
-Builders are pure and enumerate elements in a documented, bit-reproducible
-order.
+Each builder hands ``_finalize`` one row rule, a broadcast expression for the
+table rows at an index array: C_n adds indices mod n; D_2h, Q_2h and F(p,q) go
+through the metacyclic presentation <a, b : b^n = 1, a^m = b^s, a^-1 b a = b^r>
+with (n, m, r, s) = (h, 2, h-1, 0), (h, 2, h-1, h/2) and (q, p, r, 0); a
+permutation group takes one integer product of the rows' permutations with a
+weight matrix (each product's base-k code) and a dense lookup from codes to
+indices; a direct product combines its factors' rows.  The structure functions
+(series, normality, closure) are array expressions over the table and the
+commutator map ``c[y, a] = [a, y]``; a subgroup is a bool mask over its parent
+group, whose commutator map also gives the subgroup's own series.  ``powers``
+takes every element to the m-th power by repeated squaring, and element orders
+come from a few such powers per prime dividing the order.  Builders are pure
+and enumerate elements in a documented, bit-reproducible order.
 
 Every gather is a 1-D take, never a broadcast fancy index (numpy's slow
 path): a table over a subset is taken rows first, then columns, in row
@@ -74,16 +74,15 @@ class FiniteGroup:
     """Immutable finite group on elements 0..order-1.
 
     ``table[i, j]`` is the index of the product (i first, then j).  Identity
-    and inverses are precomputed; ``generators`` is a list of (name, index)
-    pairs; ``make_names(idx)`` names the elements at the indices idx, and the
-    cached ``element_names`` names all.  The scalar accessors return Python ints.
+    and inverses are precomputed; ``make_names(idx)`` names the elements at
+    the indices idx, and the cached ``element_names`` names all.  The scalar
+    accessors return Python ints.
     """
 
     order: int
     table: np.ndarray
     identity: int
     inverse: np.ndarray
-    generators: tuple[tuple[str, int], ...]
     make_names: Callable[[Sequence[int]], Sequence[str]]
     label: str
 
@@ -103,12 +102,6 @@ class FiniteGroup:
 
     def element_order(self, a: int) -> int:
         return int(element_orders(self)[a])
-
-    def generator_index(self, name: str) -> int:
-        for gname, idx in self.generators:
-            if gname == name:
-                return idx
-        raise KeyError(f"group {self.label} has no generator named {name!r}")
 
     def order_census(self) -> dict[int, int]:
         counts = np.bincount(element_orders(self)).tolist()
@@ -195,21 +188,20 @@ def element_orders(g: FiniteGroup) -> np.ndarray:
 
 def _finalize(
     order: int,
-    product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows_of: Callable[[np.ndarray], np.ndarray],
     names: Callable[[Sequence[int]], Sequence[str]],
-    generators: Sequence[tuple[str, int]],
     label: str,
 ) -> FiniteGroup:
-    """The group whose table is ``product(u, v)`` for a column u of row indices
-    and the row v of all column indices in order, 0..order-1 (intp; a product
-    may rely on getting every column); rows are filled in blocks, narrowed to
-    ``np.min_scalar_type(order)``; ``names(idx)`` names the elements at the
-    indices idx.  The identity is the first idempotent whose row and column
-    are identity maps, and inverses are found one row block at a time."""
+    """The group whose table rows at an intp index array r are ``rows_of(r)``,
+    each row with every column in order, 0..order-1; rows are filled in
+    blocks, narrowed to ``np.min_scalar_type(order)``; ``names(idx)`` names
+    the elements at the indices idx.  The identity is the first idempotent
+    whose row and column are identity maps, and inverses are found one row
+    block at a time."""
     table = np.empty((order, order), dtype=np.min_scalar_type(order))
     v = np.arange(order)
     for rows in _blocks(order, order):
-        table[rows] = product(v[rows, None], v[None, :])
+        table[rows] = rows_of(v[rows])
     identity = next((int(x) for x in np.flatnonzero(table.diagonal() == v)
                      if np.array_equal(table[x], v) and np.array_equal(table[:, x], v)), None)
     if identity is None:
@@ -222,9 +214,7 @@ def _finalize(
             raise ValueError(f"element {rows.start + found.argmin()} of {label} has no inverse")
         inverse[rows] = both.argmax(axis=1)
     table.flags.writeable = inverse.flags.writeable = False
-    return FiniteGroup(
-        order, table, identity, inverse, tuple(generators), names, label
-    )
+    return FiniteGroup(order, table, identity, inverse, names, label)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +225,8 @@ def build_cyclic(n: int) -> FiniteGroup:
     """Z/nZ written multiplicatively: elements e, g, g^2, ..."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    gens = [("g", 1 % n)] if n > 1 else []
-    return _finalize(n, lambda u, v: (u + v) % n,
-                     lambda idx: [_power_name("g", i) for i in idx], gens, f"C{n}")
+    return _finalize(n, lambda r: (r[:, None] + np.arange(n)) % n,
+                     lambda idx: [_power_name("g", i) for i in idx], f"C{n}")
 
 
 def _power_name(base: str, i: int) -> str:
@@ -250,12 +239,12 @@ def _metacyclic(n: int, m: int, r: int, s: int, top: str, bottom: str, label: st
     index i*n + j and named top^i*bottom^j, and a = b^s when m = 1."""
     rpow, coset, w = np.array([pow(r, j, n) for j in range(m)]), np.arange(m), np.arange(n)
 
-    def product(u, v):
+    def rows_of(rows):
         # a^i b^t * a^j b^w = a^((i+j) mod m) b^((c + w) mod n), c = t r^j + s [i+j >= m]:
-        # one shift per row and coset a^j, since v is every column in order
-        k = u // n + coset
-        c = u % n * rpow + s * (k >= m)
-        return ((c[..., None] + w) % n + (k % m * n)[..., None]).reshape(len(u), -1)
+        # one shift per row and coset a^j, since a row holds every column in order
+        k = rows[:, None] // n + coset
+        c = rows[:, None] % n * rpow + s * (k >= m)
+        return ((c[..., None] + w) % n + (k % m * n)[..., None]).reshape(len(rows), -1)
 
     def names(idx):
         tops = [_power_name(top, i) for i in range(m)]
@@ -263,7 +252,7 @@ def _metacyclic(n: int, m: int, r: int, s: int, top: str, bottom: str, label: st
         return [f"{tops[i]}*{bottoms[j]}" if i and j else tops[i] if i else bottoms[j]
                 for i, j in (divmod(k, n) for k in idx)]
 
-    return _finalize(n * m, product, names, [(top, n if m > 1 else s), (bottom, 1 % n)], label)
+    return _finalize(n * m, rows_of, names, label)
 
 
 def build_dihedral(two_n: int) -> FiniteGroup:
@@ -362,10 +351,8 @@ def _perm_group(perms: np.ndarray, label: str) -> FiniteGroup:
     np.put_along_axis(weight, p, place, axis=1)
     index = np.zeros(k**k, dtype=np.min_scalar_type(n))
     index[p @ place] = np.arange(n)
-    return _finalize(
-        n, lambda u, v: index[p[u.ravel()] @ weight[v.ravel()].T],
-        lambda idx: [_cycle_name(p[i].tolist()) for i in idx], [], label,
-    )
+    return _finalize(n, lambda r: index[p[r] @ weight.T],
+                     lambda idx: [_cycle_name(p[i].tolist()) for i in idx], label)
 
 
 def check_perm_degree(n: int, family: str) -> None:
@@ -403,16 +390,9 @@ def _names_by_index(g: FiniteGroup, idx: Sequence[int]) -> dict[int, str]:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with (a, b) stored at index a*|H| + b; componentwise product."""
     nh = h.order
-    gens = [(name, idx * nh + h.identity) for name, idx in g.generators]
-    taken = {name for name, _ in gens}
-    for name, idx in h.generators:
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        gens.append((name, g.identity * nh + idx))
 
-    def product(u, v):  # row (a, b) maps (a', b') to G[a, a'] |H| + H[b, b']
-        a, b = np.divmod(u.ravel(), nh)
+    def rows_of(r):  # row (a, b) maps (a', b') to G[a, a'] |H| + H[b, b']
+        a, b = np.divmod(r, nh)
         return (np.multiply(g.table[a], nh, dtype=np.intp)[:, :, None]
                 + h.table[b][:, None, :]).reshape(len(a), -1)
 
@@ -420,7 +400,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         a, b = (k.tolist() for k in np.divmod(np.fromiter(idx, dtype=np.intp), nh))
         ga, hb = _names_by_index(g, a), _names_by_index(h, b)
         return [f"({ga[x]},{hb[y]})" for x, y in zip(a, b)]
-    return _finalize(g.order * nh, product, names, gens, f"{g.label} x {h.label}")
+    return _finalize(g.order * nh, rows_of, names, f"{g.label} x {h.label}")
 
 
 # ---------------------------------------------------------------------------

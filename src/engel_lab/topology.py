@@ -110,8 +110,8 @@ class SurfaceClass:
     """Genus/crosscap summary of a recognised graph.
 
     ``crosscap`` is present only where a published formula applies (K_n and
-    K_{m,n}); ``projective`` is decided only when decidable and is otherwise
-    None, never guessed.  The classification follows from the genus alone.
+    K_{m,n}); ``projective`` is True for a planar shape, else None unless
+    decided, never guessed.  The classification follows from the genus alone.
     """
 
     genus: Optional[int]
@@ -140,29 +140,27 @@ def surface_class(shape: Optional[MultipartiteShape]) -> SurfaceClass:
     if parts[0] == 1:
         n = shape.a
         crosscap = crosscap_complete(n) if n >= 3 else None
-        projective = None if crosscap is None else crosscap == 1
-        return SurfaceClass(genus_complete(n), crosscap, projective)
+        return SurfaceClass(genus_complete(n), crosscap, n < 3 or crosscap == 1)
     if shape.a == 2:
         m, n = parts
         if n < 2:
-            return SurfaceClass(0, None, None)  # star K_{m,1}
+            return SurfaceClass(0, None, True)  # star K_{m,1}
         crosscap = crosscap_complete_bipartite(m, n)
         return SurfaceClass(genus_complete_bipartite(m, n), crosscap, crosscap == 1)
     k_mnn = shape.a == 3 and parts[1] == parts[2] and parts[0] % parts[1] == 0
     if not (k_mnn or shape.is_uniform):
         return SurfaceClass(None, None, None)
-    projective = False if _not_projective_by_biclique(parts) else None
     if k_mnn:
         # tripartite K_{mn,n,n}: the paper evaluates these by the White
         # formula (e.g. K_{3,3,3} is toroidal), which takes precedence over
         # the uniform K_{a.b} expression
-        if parts == (2, 2, 2):
-            projective = True  # octahedron, projective per the classification
-        return SurfaceClass(genus_K_mnn(parts[0] // parts[1], parts[1]), None, projective)
-    # cocktail-party K_{4.2}: the uniform formula breaks down here (the graph
-    # is toroidal; it is the reduced co-Engel graph of A_4)
-    genus = 1 if parts == (2, 2, 2, 2) else genus_uniform_multipartite(shape.a, shape.b)
-    return SurfaceClass(genus, None, projective)
+        genus = genus_K_mnn(parts[0] // parts[1], parts[1])
+    else:
+        # cocktail-party K_{4.2}: the uniform formula breaks down here (the
+        # graph is toroidal; it is the reduced co-Engel graph of A_4)
+        genus = 1 if parts == (2, 2, 2, 2) else genus_uniform_multipartite(shape.a, shape.b)
+    projective = False if _not_projective_by_biclique(parts) else None
+    return SurfaceClass(genus, None, True if genus == 0 else projective)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .groups import (
     subgroup_generated,
 )
 from .spectra import SpectrumReport, closed_form_spectra, fraction_text, spectrum_report
-from .specs import FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
+from .specs import _ORDER_LIMIT, FAMILY_NAMES, GroupSpecError, build_group, parse_group_spec
 
 SWEEP_TM = tuple((t, m) for t in (1, 2, 3) for m in (3, 5, 7, 9))
 SWEEP_M = (3, 5, 7, 9)
@@ -251,7 +251,7 @@ def _measure_left_engel(members_of: Callable[[FiniteGroup], list[int]]):
 
 def _generated_by(name: str) -> Callable[[FiniteGroup], list[int]]:
     def members(g: FiniteGroup) -> list[int]:
-        return np.flatnonzero(subgroup_generated(g, [g.generator_index(name)])).tolist()
+        return np.flatnonzero(subgroup_generated(g, [g.element_names.index(name)])).tolist()
     return members
 
 
@@ -461,7 +461,10 @@ def _soluble_catalog(max_order: int) -> list[str]:
 
 def sweep_single_arcs(max_order: int) -> list[dict]:
     """Per-group report of single arcs outside L(G) for the built-in soluble
-    groups up to the order bound, in catalog order."""
+    groups up to the order bound, in catalog order; a bound above
+    ``specs._ORDER_LIMIT`` raises ``GroupSpecError`` before any build."""
+    if max_order > _ORDER_LIMIT:
+        raise GroupSpecError(f"--max-order {max_order} is above the limit {_ORDER_LIMIT}")
     rows = []
     for spec_str in _soluble_catalog(max_order):
         g = build_group(spec_str)

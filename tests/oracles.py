@@ -555,7 +555,6 @@ def validate_group(g: FiniteGroup, force_exhaustive: bool = False) -> None:
 def from_table(
     rows: Sequence[Sequence[int]],
     names: Optional[Sequence[str]] = None,
-    generators: Sequence[tuple[str, int]] = (),
     label: str = "group",
 ) -> FiniteGroup:
     """Wrap a raw multiplication table of indices 0..n-1 (ValueError
@@ -569,8 +568,7 @@ def from_table(
         raise ValueError(f"{label}: not an {order}x{order} table of indices below {order}")
     if names is None:
         names = tuple(str(i) for i in range(order))
-    return _finalize(order, lambda u, v: table[u, v], lambda idx: [names[i] for i in idx],
-                     generators, label)
+    return _finalize(order, lambda r: table[r], lambda idx: [names[i] for i in idx], label)
 
 
 def closure(g: FiniteGroup, seeds: Iterable[int]) -> list[int]:

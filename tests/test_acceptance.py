@@ -111,14 +111,15 @@ def test_criterion_04_left_engel_sets():
             g = el.build_group(f"{fam}:{order}")
             lset = set(el.left_engel_set(g))
             rotations = set(
-                np.flatnonzero(el.subgroup_generated(g, [g.generator_index("y")])).tolist()
+                np.flatnonzero(el.subgroup_generated(g, [g.element_names.index("y")])).tolist()
             )
             assert lset == rotations and len(lset) == order // 2, (fam, t, m)
             validate_left_engel_baer(g)
     for p, q in SWEEP_PQ:
         g = el.build_group(f"F:{p}:{q}")
         lset = set(el.left_engel_set(g))
-        b_part = set(np.flatnonzero(el.subgroup_generated(g, [g.generator_index("b")])).tolist())
+        b = g.element_names.index("b")
+        b_part = set(np.flatnonzero(el.subgroup_generated(g, [b])).tolist())
         assert lset == b_part and len(lset) == q, (p, q)
         validate_left_engel_baer(g)
     g = el.build_group("S:4")

@@ -180,7 +180,8 @@ def test_left_engel_dihedral_quaternion_is_rotation_subgroup():
     for spec, half in (("D:24", 12), ("Q:24", 12), ("D:12", 6), ("Q:12", 6)):
         g = el.build_group(spec)
         lset = el.left_engel_set(g)
-        rotations = set(np.flatnonzero(el.subgroup_generated(g, [g.generator_index("y")])).tolist())
+        y = g.element_names.index("y")
+        rotations = set(np.flatnonzero(el.subgroup_generated(g, [y])).tolist())
         assert set(lset) == rotations and len(lset) == half
 
 
@@ -200,7 +201,7 @@ def test_left_engel_frobenius_is_cyclic_part():
     for spec, q in (("F:2:3", 3), ("F:3:7", 7), ("F:5:11", 11)):
         g = el.build_group(spec)
         lset = el.left_engel_set(g)
-        b_subgroup = el.subgroup_generated(g, [g.generator_index("b")])
+        b_subgroup = el.subgroup_generated(g, [g.element_names.index("b")])
         b_subgroup = set(np.flatnonzero(b_subgroup).tolist())
         assert set(lset) == b_subgroup and len(lset) == q
 

@@ -106,14 +106,14 @@ def test_dihedral_4_is_klein_four():
 
 def test_dihedral_24_rotation_order():
     g = el.build_dihedral(24)
-    assert g.element_order(g.generator_index("y")) == 12
+    assert g.element_order(g.element_names.index("y")) == 12
     assert g.order == 24
 
 
 def test_dihedral_presentation_relations():
     for two_n in (6, 12, 24, 48):
         g = el.build_dihedral(two_n)
-        x, y = g.generator_index("x"), g.generator_index("y")
+        x, y = g.element_names.index("x"), g.element_names.index("y")
         n = two_n // 2
         assert power(g, y, n) == g.identity
         assert power(g, x, 2) == g.identity
@@ -143,7 +143,7 @@ def test_quaternion_12_census():
 
 def test_quaternion_24_presentation():
     g = el.build_generalized_quaternion(24)
-    x, y = g.generator_index("x"), g.generator_index("y")
+    x, y = g.element_names.index("x"), g.element_names.index("y")
     assert g.element_order(y) == 12
     assert power(g, x, 2) == power(g, y, 6)
     assert g.mul(g.mul(x, y), g.inv(x)) == g.inv(y)
@@ -161,7 +161,7 @@ def test_quaternion_rejects_bad_order():
 def test_frobenius_2_3_is_dihedral_6():
     g = el.build_frobenius(2, 3)
     assert sorted(g.element_order(a) for a in range(6)) == [1, 2, 2, 2, 3, 3]
-    a, b = g.generator_index("a"), g.generator_index("b")
+    a, b = g.element_names.index("a"), g.element_names.index("b")
     assert g.mul(g.mul(g.inv(a), b), a) == g.inv(b)  # a^-1 b a = b^r = b^-1
     assert are_isomorphic_small(g, el.build_dihedral(6))
 
@@ -254,7 +254,7 @@ def test_element_names_are_made_once_on_first_read():
         calls.append(list(idx))
         return [("e", "t")[i] for i in idx]
 
-    g = groups._finalize(2, lambda u, v: (u + v) % 2, names, [], "C2")
+    g = groups._finalize(2, lambda r: (r[:, None] + np.arange(2)) % 2, names, "C2")
     assert calls == []
     assert g.element_names == ("e", "t") and g.element_names is g.element_names
     assert calls == [[0, 1]]
@@ -271,7 +271,7 @@ def test_make_names_at_indices_match_the_element_names(spec):
     g = el.build_group(spec)
     rng = np.random.default_rng(g.order)
     lists = [[], [g.order - 1, 0, g.order - 1], rng.integers(0, g.order, 30).tolist()]
-    for h in (g, from_table(g.table.tolist(), g.element_names, g.generators, g.label)):
+    for h in (g, from_table(g.table.tolist(), g.element_names, g.label)):
         for idx in lists:
             assert list(h.make_names(idx)) == [g.element_names[i] for i in idx], (spec, idx)
 
@@ -358,7 +358,7 @@ def test_commutator_self_is_identity():
 def test_d6_commutator_paper_convention():
     # [x,y] = x^-1 y^-1 x y = y^2 in D_6; the reversed bracket gives y
     g = el.build_dihedral(6)
-    x, y = g.generator_index("x"), g.generator_index("y")
+    x, y = g.element_names.index("x"), g.element_names.index("y")
     assert g.element_names[g.commutator(x, y)] == "y^2"
     assert g.element_names[g.commutator(y, x)] == "y"
 
@@ -488,7 +488,6 @@ KEPT_PUBLIC = {
     "inv": "documented scalar accessor of FiniteGroup",
     "commutator": "documented scalar accessor of FiniteGroup",
     "element_order": "documented scalar accessor of FiniteGroup",
-    "generator_index": "documented scalar accessor of FiniteGroup",
     "order_census": "documented scalar accessor of FiniteGroup",
     "to_json_obj": "the JSON document of a graph, report or record as a dict",
 }
@@ -669,9 +668,10 @@ def test_subgroup_generated_matches_the_closure_by_definition(spec):
     rng = np.random.default_rng(len(spec) * g.order)
     sets = [rng.choice(g.order, size=k).tolist() for k in (1, 1, 2, 3, 5)]
     sets += [list(range(g.order)), [g.order - 1, *range(g.order)[::-1]]]
-    generators = [idx for _, idx in g.generators]
-    if generators:
-        sets.append(generators)
+    named = ("g", "x", "y", "a", "b")  # the presentations' generators
+    presentation = [i for i, name in enumerate(g.element_names) if name in named]
+    if presentation:
+        sets.append(presentation)
     for seeds in sets:
         got = np.flatnonzero(el.subgroup_generated(g, seeds)).tolist()
         assert got == oracles.closure(g, seeds), (spec, seeds)
@@ -683,7 +683,7 @@ def test_subgroup_generated_matches_the_closure_by_definition(spec):
 
 def test_subgroup_generated_rotation_in_d24():
     g = el.build_dihedral(24)
-    assert np.count_nonzero(el.subgroup_generated(g, [g.generator_index("y")])) == 12
+    assert np.count_nonzero(el.subgroup_generated(g, [g.element_names.index("y")])) == 12
 
 
 def test_subgroup_generated_identity():
@@ -749,7 +749,7 @@ def test_group_cache_roundtrip_table(data):
     spec = data.draw(st.sampled_from(["D:10", "Q:16", "F:2:7", "C:9"]))
     g = el.build_group(spec)
     rebuilt = from_table(
-        [list(r) for r in g.table], g.element_names, g.generators, g.label
+        [list(r) for r in g.table], g.element_names, g.label
     )
     assert np.array_equal(rebuilt.table, g.table)
     assert rebuilt.identity == g.identity
@@ -821,36 +821,30 @@ def _cycles(p):
 
 def _product_words(g, h):
     # every family's identity is its element 0
-    (g_names, g_gens, g_label), (h_names, h_gens, h_label) = g, h
-    k = len(h_names)
-    gens = [(name, i * k) for name, i in g_gens]
-    for name, j in h_gens:
-        while name in {x for x, _ in gens}:
-            name += "'"
-        gens.append((name, j))
+    (g_names, g_label), (h_names, h_label) = g, h
     names = [f"({a},{b})" for a in g_names for b in h_names]
-    return names, gens, f"{g_label} x {h_label}"
+    return names, f"{g_label} x {h_label}"
 
 
 def _model_words(spec):
-    """(element names, generators, label) of a spec in the model's element
-    order: words top^i*bottom^j in the generators of the presentation,
+    """(element names, label) of a spec in the model's element order:
+    words top^i*bottom^j in the generators of the presentation,
     cycle notation for permutations, pairs of names for products."""
     s = el.parse_group_spec(spec) if isinstance(spec, str) else spec
     if s.family == "P":
         return functools.reduce(_product_words, map(_model_words, s.factors))
     n = s.params[0]
     if s.family == "C":
-        return [_word(("g", i)) for i in range(n)], [("g", 1)] if n > 1 else [], f"C{n}"
+        return [_word(("g", i)) for i in range(n)], f"C{n}"
     if s.family in "DQ":
         h = n // 2
         names = [_word(("x", i), ("y", j)) for i in range(2) for j in range(h)]
-        return names, [("x", h), ("y", 1)], f"{s.family}_{n}"
+        return names, f"{s.family}_{n}"
     if s.family == "F":
         p, q = s.params[:2]
         names = [_word(("a", i), ("b", j)) for i in range(p) for j in range(q)]
-        return names, [("a", q), ("b", 1)], f"F({p},{q})"
-    return [_cycles(x) for x in _model(s).elements], [], f"{s.family}{n}"
+        return names, f"F({p},{q})"
+    return [_cycles(x) for x in _model(s).elements], f"{s.family}{n}"
 
 
 @pytest.mark.parametrize(
@@ -870,9 +864,8 @@ def test_builder_matches_model_group(spec):
     assert np.array_equal(g.table, want)
     assert g.identity == index[model.identity]
     assert np.array_equal(g.inverse, [index[model.inv(x)] for x in model.elements])
-    names, gens, label = _model_words(spec)
+    names, label = _model_words(spec)
     assert g.element_names == tuple(names)
-    assert g.generators == tuple(gens)
     assert g.label == label
     # the same table when its rows are filled three at a time
     with pytest.MonkeyPatch.context() as mp:
@@ -899,14 +892,13 @@ def test_metacyclic_matches_the_one_generator_model(params):
     want = [[index[model.mul(x, y)] for y in model.elements] for x in model.elements]
     assert np.array_equal(g.table, want)
     assert g.identity == index[model.identity] == 0
-    a, b = (1 % m, s if m == 1 else 0), (0, 1 % n)
-    assert g.generators == (("a", index[a]), ("b", index[b]))
 
 
 def test_cyclic_and_metacyclic_builds_are_pinned():
-    # tables, identities, inverses, generators, names and labels of 768 C, D,
-    # Q and F groups; the digest was taken from the per-family dihedral,
-    # quaternion and Frobenius builders that preceded the metacyclic one
+    # tables, identities, inverses, names and labels of 768 C, D, Q and F
+    # groups; the digest was taken from the builders that handed their
+    # tables over as two-argument products, whose output was in turn pinned
+    # to the per-family dihedral, quaternion and Frobenius builders
     specs = [s for s in _soluble_catalog(400) if s[0] in "CDQF"]
     specs += ["F:3:7:2", "F:5:11:4", "F:3:13:9", "F:7:43:4"]
     assert len(specs) == 768
@@ -914,10 +906,10 @@ def test_cyclic_and_metacyclic_builds_are_pinned():
     for spec in specs:
         g = el.specs._build_cached.__wrapped__(spec)
         for part in (spec, str(g.table.dtype), g.table.tobytes(), str(g.identity),
-                     str(g.inverse.dtype), g.inverse.tobytes(), repr(g.generators),
+                     str(g.inverse.dtype), g.inverse.tobytes(),
                      repr(g.element_names), g.label):
             h.update(part if isinstance(part, bytes) else part.encode())
-    assert h.hexdigest() == "d863ed6c8cd0756b14ae3cfdd7a8b799464ae357b522c4e53001f508ab8e02ed"
+    assert h.hexdigest() == "3a997f5a0d79aa99f49951408a98cc01ad99d586f497e0ff7c74d958ea3e5a04"
 
 
 @pytest.mark.parametrize(
@@ -1166,6 +1158,30 @@ def test_finalize_matches_the_whole_table_search(spec, data):
         except ValueError as exc:
             got = str(exc)
     assert got == want
+
+
+@given(
+    spec=st.sampled_from(["C:1", "C:12", "D:10", "Q:12", "F:3:7", "F:5:11", "S:2", "S:4",
+                          "A:4", "A:5", "P:(C:3)x(D:6)", "P:(S:3)x(Q:8)"]),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_every_builder_hands_finalize_a_row_rule(spec, data):
+    # the rule each builder (cyclic, metacyclic, permutation, product) hands
+    # _finalize gives the table rows at any index array, in any order and
+    # with repeats, not only at the consecutive blocks _finalize asks for
+    rules, finalize = [], groups._finalize
+
+    def capture(order, rows_of, names, label):
+        rules.append(rows_of)
+        return finalize(order, rows_of, names, label)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_finalize", capture)
+        g = el.specs._build_cached.__wrapped__(spec)
+    rows = data.draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=2 * g.order))
+    r = np.array(rows, dtype=np.intp)
+    assert np.array_equal(rules[-1](r), g.table[r])
 
 
 def test_scalar_accessors_return_python_ints(capsys):

@@ -606,6 +606,17 @@ def test_cli_sweep_single_arcs(capsys):
     assert nonempty == ["S:4"]  # survey-frozen: only S_4 up to order 24
 
 
+def test_cli_sweep_single_arcs_refuses_a_bound_above_the_limit(monkeypatch, capsys):
+    # the catalog would build C:2 ... C:5040 before refusing C:5041
+    def refuse(*args):
+        raise AssertionError("built a table past the order limit")
+
+    monkeypatch.setattr(engel_lab.groups, "_finalize", refuse)
+    code, out, err = _run_cli(["sweep-single-arcs", "--max-order", "5041"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "usage error: --max-order 5041 is above the limit 5040\n"
+
+
 SWEEP_DIGESTS = json.loads((DATA / "sweep_single_arcs_sha256.json").read_text())
 
 

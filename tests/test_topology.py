@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import engel_lab as el
+from engel_lab import verify
 from engel_lab.analysis import MultipartiteShape
 from engel_lab.topology import (
     CLASS_GENUS_5_PLUS,
@@ -280,6 +281,43 @@ def test_planar_implies_genus_zero_on_family_sweep():
             assert sc.genus >= 1, spec
         else:
             assert sc.genus == 0, spec
+
+
+# (a, b) -> (formula genus, Euler bound) where the published K_{a.b} genus
+# falls below Euler's bound; the swept groups' genus-class and genus-formula
+# records pass anyway, because their computed side reads the same formula
+_BELOW_EULER = {
+    (5, 2): (1, 3), (7, 2): (1, 8), (9, 2): (3, 16), (13, 2): (8, 40),
+    (5, 4): (11, 18), (7, 4): (22, 43), (9, 4): (39, 79), (11, 4): (60, 126),
+    (7, 8): (190, 197), (9, 8): (327, 349),
+}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        pytest.param(
+            a, b,
+            marks=[pytest.mark.xfail(
+                strict=True,
+                reason=f"formula genus {_BELOW_EULER[a, b][0]} of K_{{{a}.{b}}} is below "
+                f"Euler's bound {_BELOW_EULER[a, b][1]}",
+            )] if (a, b) in _BELOW_EULER else [],
+        )
+        for a, b in sorted(
+            {(a, b) for _, _, a, b in
+             [*verify._realised(), *verify._realised(verify.SWEEP_M_CLASS)]}
+        )
+    ],
+)
+def test_realised_genus_is_at_least_the_euler_bound(a, b):
+    # a graph of girth 3 with v vertices and e edges has genus at least
+    # ceil((e - 3v + 6) / 6) (Euler's formula; Gross & Tucker, Topological
+    # Graph Theory, 1987); K_{a.b} has v = ab and e = a(a-1)b^2/2
+    v, e = a * b, a * (a - 1) * b * b // 2
+    bound = -(-(e - 3 * v + 6) // 6)
+    assert el.genus_uniform_multipartite(a, b) >= bound
+    assert surface_class(MultipartiteShape.uniform(a, b)).genus >= bound
 
 
 # --- Zagreb indices
